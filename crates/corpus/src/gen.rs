@@ -199,11 +199,12 @@ fn uniform<T: Scalar, R: Rng>(
     for _ in 0..nnz {
         b.push_unchecked(rd.sample(rng), cd.sample(rng), rand_val(rng));
     }
-    b.build().to_csr()
+    b.build_csr()
 }
 
 fn banded<T: Scalar, R: Rng>(n: usize, half_width: usize, fill: f64, rng: &mut R) -> CsrMatrix<T> {
-    let mut b = TripletBuilder::new(n, n);
+    let band = (2 * half_width + 1).min(n);
+    let mut b = TripletBuilder::with_capacity(n, n, n * band);
     for r in 0..n {
         let lo = r.saturating_sub(half_width);
         let hi = (r + half_width).min(n.saturating_sub(1));
@@ -213,11 +214,11 @@ fn banded<T: Scalar, R: Rng>(n: usize, half_width: usize, fill: f64, rng: &mut R
             }
         }
     }
-    b.build().to_csr()
+    b.build_csr()
 }
 
 fn diagonal<T: Scalar, R: Rng>(n: usize, offsets: &[i64], rng: &mut R) -> CsrMatrix<T> {
-    let mut b = TripletBuilder::new(n, n);
+    let mut b = TripletBuilder::with_capacity(n, n, n * offsets.len());
     for r in 0..n as i64 {
         for &off in offsets {
             let c = r + off;
@@ -226,7 +227,7 @@ fn diagonal<T: Scalar, R: Rng>(n: usize, offsets: &[i64], rng: &mut R) -> CsrMat
             }
         }
     }
-    b.build().to_csr()
+    b.build_csr()
 }
 
 fn stencil2d<T: Scalar>(gx: usize, gy: usize) -> CsrMatrix<T> {
@@ -250,7 +251,7 @@ fn stencil2d<T: Scalar>(gx: usize, gy: usize) -> CsrMatrix<T> {
             }
         }
     }
-    b.build().to_csr()
+    b.build_csr()
 }
 
 fn stencil3d<T: Scalar>(gx: usize, gy: usize, gz: usize) -> CsrMatrix<T> {
@@ -283,7 +284,7 @@ fn stencil3d<T: Scalar>(gx: usize, gy: usize, gz: usize) -> CsrMatrix<T> {
             }
         }
     }
-    b.build().to_csr()
+    b.build_csr()
 }
 
 fn rmat<T: Scalar, R: Rng>(
@@ -294,26 +295,24 @@ fn rmat<T: Scalar, R: Rng>(
 ) -> CsrMatrix<T> {
     let n = 1usize << scale;
     let (a, bb, c) = probs;
+    let (ab, abc) = (a + bb, a + bb + c);
     let mut builder = TripletBuilder::with_capacity(n, n, nnz);
     for _ in 0..nnz {
         let (mut r, mut col) = (0u32, 0u32);
         for level in (0..scale).rev() {
-            let bit = 1u32 << level;
+            // Quadrant of p: [0, a) top-left, [a, ab) top-right, [ab, abc)
+            // bottom-left, the rest bottom-right. Non-short-circuit `&`/`|`
+            // keep this branch-free: p is random, so branches on it
+            // mispredict often.
             let p: f64 = rng.gen();
-            if p < a {
-                // top-left quadrant
-            } else if p < a + bb {
-                col |= bit;
-            } else if p < a + bb + c {
-                r |= bit;
-            } else {
-                r |= bit;
-                col |= bit;
-            }
+            let bottom = (p >= a) & (p >= ab);
+            let right = (p >= a) & ((p < ab) | (p >= abc));
+            r |= (bottom as u32) << level;
+            col |= (right as u32) << level;
         }
         builder.push_unchecked(r, col, rand_val(rng));
     }
-    builder.build().to_csr()
+    builder.build_csr()
 }
 
 fn block<T: Scalar, R: Rng>(
@@ -323,7 +322,8 @@ fn block<T: Scalar, R: Rng>(
     rng: &mut R,
 ) -> CsrMatrix<T> {
     let n = grid * block_size;
-    let mut b = TripletBuilder::new(n, n);
+    let pushes = grid * blocks_per_row * block_size * block_size;
+    let mut b = TripletBuilder::with_capacity(n, n, pushes);
     let bd = Uniform::new(0, grid.max(1) as u32);
     for br in 0..grid {
         for _ in 0..blocks_per_row {
@@ -339,7 +339,7 @@ fn block<T: Scalar, R: Rng>(
             }
         }
     }
-    b.build().to_csr()
+    b.build_csr()
 }
 
 fn rowskew<T: Scalar, R: Rng>(
@@ -362,7 +362,7 @@ fn rowskew<T: Scalar, R: Rng>(
             b.push_unchecked(r as u32, cd.sample(rng), rand_val(rng));
         }
     }
-    b.build().to_csr()
+    b.build_csr()
 }
 
 fn clustered<T: Scalar, R: Rng>(
@@ -372,8 +372,8 @@ fn clustered<T: Scalar, R: Rng>(
     run_len: usize,
     rng: &mut R,
 ) -> CsrMatrix<T> {
-    let mut b = TripletBuilder::new(n_rows, n_cols);
     let run_len = run_len.min(n_cols).max(1);
+    let mut b = TripletBuilder::with_capacity(n_rows, n_cols, n_rows * runs * run_len);
     let start_d = Uniform::new(0, (n_cols - run_len + 1) as u32);
     for r in 0..n_rows {
         for _ in 0..runs {
@@ -383,7 +383,7 @@ fn clustered<T: Scalar, R: Rng>(
             }
         }
     }
-    b.build().to_csr()
+    b.build_csr()
 }
 
 #[cfg(test)]

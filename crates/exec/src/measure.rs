@@ -227,7 +227,7 @@ mod tests {
         for (r, c, v) in [(0, 0, 1.0), (0, 3, 2.0), (1, 1, 3.0), (3, 2, -1.0)] {
             b.push(r, c, v).unwrap();
         }
-        b.build().to_csr()
+        b.build_csr()
     }
 
     #[test]

@@ -2,12 +2,28 @@
 //! sparse matrices before freezing them into a compute format.
 //!
 //! Generators and the MatrixMarket reader push `(row, col, value)` triplets in
-//! arbitrary order; [`TripletBuilder::build`] sorts them row-major,
-//! deduplicates by summing (the MatrixMarket convention for repeated
-//! coordinates), drops explicit zeros on request, and yields a canonical
-//! [`CooMatrix`].
+//! arbitrary order; [`TripletBuilder::build_csr`] and [`TripletBuilder::build`]
+//! sort them row-major, sum repeated coordinates (the MatrixMarket
+//! convention), drop explicit zeros on request, and yield a canonical
+//! [`CsrMatrix`] or [`CooMatrix`].
+//!
+//! # Algorithm
+//!
+//! A stable counting sort by row. A histogram of the row indices gives the
+//! row pointers; each push then lands in its row's bucket as the key
+//! `(col << 32) | push_index`, so a bucket holds its row in push order. A
+//! bucket is sorted only if it is out of order, and since push indices are
+//! unique, sorting the keys orders a row by column and, within a column, by
+//! push order. No comparison sort ever runs over the whole matrix.
+//!
+//! # Duplicate-sum contract
+//!
+//! The value stored at a repeated coordinate is the left fold of its pushed
+//! values in push order, `((v0 + v1) + v2) + ...`. A coordinate whose sum is
+//! exactly zero is then dropped like any explicit zero, unless zeros are kept.
 
 use crate::coo::CooMatrix;
+use crate::csr::CsrMatrix;
 use crate::error::{MatrixError, Result};
 use crate::scalar::Scalar;
 
@@ -100,57 +116,88 @@ impl<T: Scalar> TripletBuilder<T> {
         self.vals.push(val);
     }
 
-    /// Freeze into a canonical [`CooMatrix`]: row-major sorted, duplicate
-    /// coordinates summed, explicit zeros dropped (unless kept).
+    /// Freeze into a canonical [`CsrMatrix`]: rows sorted by column,
+    /// duplicate coordinates summed in push order, explicit zeros dropped
+    /// (unless kept).
+    pub fn build_csr(self) -> CsrMatrix<T> {
+        let (n_rows, n_cols) = self.shape();
+        let (row_ptr, cols, vals) = self.assemble();
+        CsrMatrix::from_parts_unchecked(n_rows, n_cols, row_ptr, cols, vals)
+    }
+
+    /// Freeze into a canonical [`CooMatrix`]: the same pass as
+    /// [`build_csr`](Self::build_csr), with the row pointers expanded to
+    /// one row index per entry.
     pub fn build(self) -> CooMatrix<T> {
+        let (n_rows, n_cols) = self.shape();
+        let (row_ptr, cols, vals) = self.assemble();
+        let mut rows = Vec::with_capacity(cols.len());
+        for (r, w) in row_ptr.windows(2).enumerate() {
+            rows.resize(w[1] as usize, r as u32);
+        }
+        CooMatrix::from_sorted_parts(n_rows, n_cols, rows, cols, vals)
+    }
+
+    /// The counting sort of the module docs: `(row_ptr, col_idx, values)`.
+    fn assemble(self) -> (Vec<u32>, Vec<u32>, Vec<T>) {
         let TripletBuilder {
             n_rows,
-            n_cols,
             rows,
             cols,
             vals,
             keep_explicit_zeros,
+            ..
         } = self;
-        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| {
-            let i = i as usize;
-            ((rows[i] as u64) << 32) | cols[i] as u64
-        });
+        assert!(
+            rows.len() <= u32::MAX as usize,
+            "triplet count must fit in u32"
+        );
 
-        let mut out_rows: Vec<u32> = Vec::with_capacity(rows.len());
-        let mut out_cols: Vec<u32> = Vec::with_capacity(rows.len());
-        let mut out_vals: Vec<T> = Vec::with_capacity(rows.len());
-        for &i in &order {
-            let i = i as usize;
-            let (r, c, v) = (rows[i], cols[i], vals[i]);
-            if let (Some(&lr), Some(&lc)) = (out_rows.last(), out_cols.last()) {
-                if lr == r && lc == c {
-                    // MatrixMarket convention: repeated coordinates sum.
-                    *out_vals.last_mut().expect("parallel arrays") += v;
-                    continue;
+        // ptr[r + 1] counts row r; the prefix sum makes ptr[r] its bucket start.
+        let mut ptr = vec![0u32; n_rows + 1];
+        for &r in &rows {
+            ptr[r as usize + 1] += 1;
+        }
+        for r in 0..n_rows {
+            ptr[r + 1] += ptr[r];
+        }
+        // Scatter with ptr[r] as row r's cursor; afterwards ptr[r] holds the
+        // end of bucket r, i.e. the start of bucket r + 1.
+        let mut keys = vec![0u64; rows.len()];
+        for (i, (&r, &c)) in rows.iter().zip(&cols).enumerate() {
+            let slot = &mut ptr[r as usize];
+            keys[*slot as usize] = ((c as u64) << 32) | i as u64;
+            *slot += 1;
+        }
+        drop((rows, cols));
+
+        // Sort and sum each bucket. Once bucket r is read, ptr[r] is free
+        // and takes the output end of row r; a rotation then turns the
+        // ends into row pointers.
+        let mut out_cols = Vec::with_capacity(keys.len());
+        let mut out_vals = Vec::with_capacity(keys.len());
+        let mut lo = 0;
+        for end in &mut ptr[..n_rows] {
+            let hi = *end as usize;
+            let bucket = &mut keys[lo..hi];
+            if bucket.windows(2).any(|w| w[0] > w[1]) {
+                bucket.sort_unstable();
+            }
+            for run in bucket.chunk_by(|a, b| a >> 32 == b >> 32) {
+                let mut pushed = run.iter().map(|&key| vals[key as u32 as usize]);
+                let first = pushed.next().expect("chunks are non-empty");
+                let sum = pushed.fold(first, |sum, v| sum + v);
+                if keep_explicit_zeros || sum != T::ZERO {
+                    out_cols.push((run[0] >> 32) as u32);
+                    out_vals.push(sum);
                 }
             }
-            out_rows.push(r);
-            out_cols.push(c);
-            out_vals.push(v);
+            *end = out_cols.len() as u32;
+            lo = hi;
         }
-
-        if !keep_explicit_zeros {
-            let mut w = 0;
-            for i in 0..out_vals.len() {
-                if out_vals[i] != T::ZERO {
-                    out_rows[w] = out_rows[i];
-                    out_cols[w] = out_cols[i];
-                    out_vals[w] = out_vals[i];
-                    w += 1;
-                }
-            }
-            out_rows.truncate(w);
-            out_cols.truncate(w);
-            out_vals.truncate(w);
-        }
-
-        CooMatrix::from_sorted_parts(n_rows, n_cols, out_rows, out_cols, out_vals)
+        ptr.rotate_right(1);
+        ptr[0] = 0;
+        (ptr, out_cols, out_vals)
     }
 }
 
@@ -180,6 +227,46 @@ mod tests {
         let m = b.build();
         assert_eq!(m.nnz(), 2);
         assert_eq!(m.values(), &[1.0, 4.0]);
+    }
+
+    #[test]
+    fn duplicates_sum_in_push_order() {
+        // (1e16 + 1) rounds back to 1e16, so only the push order decides
+        // whether the 1.0 survives.
+        let mut b = TripletBuilder::<f64>::new(1, 2).keep_explicit_zeros(true);
+        b.push(0, 1, 1e16).unwrap();
+        b.push(0, 0, 2.0).unwrap();
+        b.push(0, 1, 1.0).unwrap();
+        b.push(0, 1, -1e16).unwrap();
+        assert_eq!(b.clone().build().values(), &[2.0, 0.0]);
+        // The cell sums to exactly zero, so by default it is dropped.
+        let csr = b.keep_explicit_zeros(false).build_csr();
+        assert_eq!(csr.col_idx(), &[0]);
+
+        let mut c = TripletBuilder::<f64>::new(1, 2);
+        c.push(0, 1, 1e16).unwrap();
+        c.push(0, 1, -1e16).unwrap();
+        c.push(0, 1, 1.0).unwrap();
+        assert_eq!(c.build_csr().values(), &[1.0]);
+    }
+
+    #[test]
+    fn build_csr_matches_build() {
+        let mut b = TripletBuilder::<f64>::new(4, 3);
+        for (r, c, v) in [
+            (3, 2, 1.0),
+            (1, 0, 2.0),
+            (3, 0, 3.0),
+            (1, 0, 4.0),
+            (0, 1, 0.0),
+        ] {
+            b.push(r, c, v).unwrap();
+        }
+        let csr = b.clone().build_csr();
+        assert_eq!(csr.row_ptr(), &[0, 0, 1, 1, 3]);
+        assert_eq!(csr.col_idx(), &[0, 0, 2]);
+        assert_eq!(csr.values(), &[6.0, 3.0, 1.0]);
+        assert_eq!(b.build().to_csr(), csr);
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl<T: Scalar> DiaMatrix<T> {
                 }
             }
         }
-        b.build().to_csr()
+        b.build_csr()
     }
 }
 

@@ -145,7 +145,7 @@ impl<T: Scalar> HybMatrix<T> {
         for (r, c, v) in self.coo.iter() {
             b.push_unchecked(r as u32, c as u32, v);
         }
-        b.build().to_csr()
+        b.build_csr()
     }
 }
 

@@ -8,6 +8,7 @@ use spmv_matrix::{
     merge_path_search, parallel, Csr5Config, Csr5Matrix, CsrMatrix, Format, MergeCsrMatrix,
     SparseMatrix, TripletBuilder,
 };
+use std::collections::BTreeMap;
 
 /// Strategy: an arbitrary small sparse matrix as (rows, cols, triplets).
 fn arb_matrix() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize, f64)>)> {
@@ -91,12 +92,61 @@ proptest! {
         entries.reverse();
         let b = build(r, c, &entries);
         // Structure must be identical; values only up to float summation
-        // order (duplicate coordinates are accumulated in insertion order).
+        // order, since the builder sums duplicates in push order (see
+        // `builder_matches_push_order_reference`).
         prop_assert_eq!(a.shape(), b.shape());
         prop_assert_eq!(a.row_ptr(), b.row_ptr());
         prop_assert_eq!(a.col_idx(), b.col_idx());
         for (x, y) in a.values().iter().zip(b.values()) {
             prop_assert!((x - y).abs() <= 1e-12 * x.abs().max(1.0), "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn builder_matches_push_order_reference(
+        (r, c, entries) in (1usize..8, 1usize..8).prop_flat_map(|(r, c)| {
+            // Few cells, many pushes: most cells repeat, and the large and
+            // zero values make the summation order and exact cancellation
+            // visible in the bits.
+            let val = (0usize..5, -8.0f64..8.0).prop_map(|(k, x)| [0.0, 1e16, -1e16, 1.0, x][k]);
+            (Just(r), Just(c), proptest::collection::vec((0..r, 0..c, val), 0..80))
+        }),
+    ) {
+        for keep_zeros in [false, true] {
+            // The contract: each cell holds the left fold of its pushes in push
+            // order; a cell summing to zero is dropped unless zeros are kept.
+            let mut cells: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+            for &(i, j, v) in &entries {
+                cells.entry((i, j)).and_modify(|s| *s += v).or_insert(v);
+            }
+            cells.retain(|_, s| keep_zeros || *s != 0.0);
+            let mut row_ptr = vec![0u32; r + 1];
+            for &(i, _) in cells.keys() {
+                row_ptr[i + 1] += 1;
+            }
+            for i in 0..r {
+                row_ptr[i + 1] += row_ptr[i];
+            }
+            let rows: Vec<u32> = cells.keys().map(|&(i, _)| i as u32).collect();
+            let cols: Vec<u32> = cells.keys().map(|&(_, j)| j as u32).collect();
+            let bits: Vec<u64> = cells.values().map(|v| v.to_bits()).collect();
+
+            let mut b = TripletBuilder::new(r, c).keep_explicit_zeros(keep_zeros);
+            for &(i, j, v) in &entries {
+                b.push(i, j, v).expect("in bounds");
+            }
+            let coo = b.clone().build();
+            prop_assert_eq!(coo.shape(), (r, c));
+            prop_assert_eq!(coo.row_indices(), &rows[..]);
+            prop_assert_eq!(coo.col_indices(), &cols[..]);
+            let coo_bits: Vec<u64> = coo.values().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&coo_bits, &bits);
+            let csr = b.build_csr();
+            prop_assert_eq!(csr.shape(), (r, c));
+            prop_assert_eq!(csr.row_ptr(), &row_ptr[..]);
+            prop_assert_eq!(csr.col_idx(), &cols[..]);
+            let csr_bits: Vec<u64> = csr.values().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&csr_bits, &bits);
         }
     }
 

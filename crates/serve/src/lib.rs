@@ -220,6 +220,17 @@ impl Server {
         self.shared.addr
     }
 
+    /// Connections the shards have accepted so far, shed ones included.
+    /// Scheduling state: it is published to the manifest only at shutdown
+    /// (`serve.conns.accepted`), but tests read it live to know that a
+    /// client's connection is owned by a shard.
+    pub fn accepted_connections(&self) -> u64 {
+        self.stats
+            .iter()
+            .map(|s| s.accepted.load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Whether `POST /admin/shutdown` has been received.
     pub fn shutdown_requested(&self) -> bool {
         self.shared.shutdown_requested.load(Ordering::SeqCst)

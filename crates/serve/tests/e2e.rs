@@ -225,8 +225,18 @@ fn graceful_shutdown_completes_queued_requests() {
             })
         })
         .collect();
-    // Give the clients a moment to be accepted, then shut down under them.
-    std::thread::sleep(std::time::Duration::from_millis(40));
+    // Shut down under the clients once a shard owns every connection: a
+    // connection still in the listen backlog is not admitted work, and
+    // shutdown rightly never accepts it.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while server.accepted_connections() < 6 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "clients not accepted: {}",
+            server.accepted_connections()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     server.shutdown();
     let statuses: Vec<u16> = clients.into_iter().map(|c| c.join().unwrap()).collect();
     assert!(
