@@ -120,33 +120,36 @@ impl<T: Scalar> TripletBuilder<T> {
     /// duplicate coordinates summed in push order, explicit zeros dropped
     /// (unless kept).
     pub fn build_csr(self) -> CsrMatrix<T> {
-        let (n_rows, n_cols) = self.shape();
-        let (row_ptr, cols, vals) = self.assemble();
-        CsrMatrix::from_parts_unchecked(n_rows, n_cols, row_ptr, cols, vals)
+        self.assemble().0
+    }
+
+    /// [`build_csr`](Self::build_csr) for input that may not repeat a
+    /// coordinate: `Err((row, col))` names the row-major-first coordinate
+    /// pushed more than once.
+    pub(crate) fn build_csr_unique(self) -> std::result::Result<CsrMatrix<T>, (usize, usize)> {
+        match self.assemble() {
+            (m, None) => Ok(m),
+            (_, Some(repeat)) => Err(repeat),
+        }
     }
 
     /// Freeze into a canonical [`CooMatrix`]: the same pass as
     /// [`build_csr`](Self::build_csr), with the row pointers expanded to
     /// one row index per entry.
     pub fn build(self) -> CooMatrix<T> {
-        let (n_rows, n_cols) = self.shape();
-        let (row_ptr, cols, vals) = self.assemble();
-        let mut rows = Vec::with_capacity(cols.len());
-        for (r, w) in row_ptr.windows(2).enumerate() {
-            rows.resize(w[1] as usize, r as u32);
-        }
-        CooMatrix::from_sorted_parts(n_rows, n_cols, rows, cols, vals)
+        self.build_csr().into_coo()
     }
 
-    /// The counting sort of the module docs: `(row_ptr, col_idx, values)`.
-    fn assemble(self) -> (Vec<u32>, Vec<u32>, Vec<T>) {
+    /// The counting sort of the module docs, and the row-major-first
+    /// coordinate pushed more than once, if any.
+    fn assemble(self) -> (CsrMatrix<T>, Option<(usize, usize)>) {
         let TripletBuilder {
             n_rows,
+            n_cols,
             rows,
             cols,
             vals,
             keep_explicit_zeros,
-            ..
         } = self;
         assert!(
             rows.len() <= u32::MAX as usize,
@@ -176,14 +179,18 @@ impl<T: Scalar> TripletBuilder<T> {
         // ends into row pointers.
         let mut out_cols = Vec::with_capacity(keys.len());
         let mut out_vals = Vec::with_capacity(keys.len());
+        let mut repeat = None;
         let mut lo = 0;
-        for end in &mut ptr[..n_rows] {
+        for (row, end) in ptr[..n_rows].iter_mut().enumerate() {
             let hi = *end as usize;
             let bucket = &mut keys[lo..hi];
             if bucket.windows(2).any(|w| w[0] > w[1]) {
                 bucket.sort_unstable();
             }
             for run in bucket.chunk_by(|a, b| a >> 32 == b >> 32) {
+                if run.len() > 1 && repeat.is_none() {
+                    repeat = Some((row, (run[0] >> 32) as usize));
+                }
                 let mut pushed = run.iter().map(|&key| vals[key as u32 as usize]);
                 let first = pushed.next().expect("chunks are non-empty");
                 let sum = pushed.fold(first, |sum, v| sum + v);
@@ -197,7 +204,8 @@ impl<T: Scalar> TripletBuilder<T> {
         }
         ptr.rotate_right(1);
         ptr[0] = 0;
-        (ptr, out_cols, out_vals)
+        let m = CsrMatrix::from_parts_unchecked(n_rows, n_cols, ptr, out_cols, out_vals);
+        (m, repeat)
     }
 }
 

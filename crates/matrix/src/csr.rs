@@ -192,17 +192,17 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Convert to COO (trivially: expand the row pointer).
     pub fn to_coo(&self) -> CooMatrix<T> {
+        self.clone().into_coo()
+    }
+
+    /// [`to_coo`](Self::to_coo), reusing this matrix's column and value
+    /// arrays.
+    pub(crate) fn into_coo(self) -> CooMatrix<T> {
         let mut rows = Vec::with_capacity(self.nnz());
-        for r in 0..self.n_rows {
-            rows.extend(std::iter::repeat_n(r as u32, self.row_len(r)));
+        for (r, w) in self.row_ptr.windows(2).enumerate() {
+            rows.resize(w[1] as usize, r as u32);
         }
-        CooMatrix::from_sorted_parts(
-            self.n_rows,
-            self.n_cols,
-            rows,
-            self.col_idx.clone(),
-            self.vals.clone(),
-        )
+        CooMatrix::from_sorted_parts(self.n_rows, self.n_cols, rows, self.col_idx, self.vals)
     }
 
     /// Transpose via COO.

@@ -92,6 +92,27 @@ fn index_overflow_past_declared_dims_rejected() {
 }
 
 #[test]
+fn declarations_the_input_cannot_back_are_rejected() {
+    // 69 bytes declaring 5e9 rows: indices are stored as u32.
+    let rows = "%%MatrixMarket matrix coordinate real general\n5000000000 1 1\n1 1 1.0\n";
+    assert_eq!(rows.len(), 69);
+    rejected(rows, "exceeds the u32 index range");
+    rejected(
+        "%%MatrixMarket matrix coordinate real general\n1 4294967296 1\n1 1 1.0\n",
+        "exceeds the u32 index range",
+    );
+    // 76 bytes declaring 1e17 entries: nothing is reserved beyond what
+    // the remaining bytes could hold, so the count check answers.
+    let nnz = "%%MatrixMarket matrix coordinate real general\n1 1 99999999999999999\n1 1 1.0\n";
+    assert_eq!(nnz.len(), 76);
+    rejected(nnz, "promised 99999999999999999 entries, found 1");
+    rejected(
+        "%%MatrixMarket matrix coordinate real symmetric\n1 1 18446744073709551615\n1 1 1.0\n",
+        "promised 18446744073709551615 entries, found 1",
+    );
+}
+
+#[test]
 fn duplicate_entries_rejected() {
     rejected(
         "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1.0\n2 2 2.0\n1 1 5.0\n",

@@ -31,9 +31,12 @@
 //!
 //! ## Collision safety
 //!
-//! Slots are found by 64-bit FNV-1a hash *and then* full-key comparison;
-//! two keys that collide in the hash coexist as separate slots and never
-//! alias each other's responses.
+//! Slots are found by a 64-bit content hash *and then* full-key
+//! comparison; two keys that collide in the hash coexist as separate
+//! slots and never alias each other's responses. The hash is computed
+//! once per request, by [`ResponseCache::key`]; a reservation finds its
+//! slot again by the slot's insertion tick, so the key's bytes are moved
+//! into the cache and never copied.
 //!
 //! Lookup is a linear scan over the shard's slot vector — deliberately:
 //! per-shard capacity is a handful-to-hundreds knob, the scan is
@@ -49,19 +52,41 @@ use std::sync::{Arc, Condvar, Mutex};
 /// (including eviction under pressure) never varies with `--workers`.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// 64-bit FNV-1a (the workspace's standard content hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// Content hash of a key, eight bytes at a time: each little-endian word
+/// (the tail zero-padded) is folded in with a rotate, xor and multiply,
+/// then the length is mixed in so that padding cannot alias, and murmur3's
+/// 64-bit finalizer spreads every input bit over the high bits that
+/// [`ResponseCache::shard_of`] reads. Bodies are a few hundred kilobytes,
+/// so a byte-at-a-time hash costs as much as parsing a small one.
+fn content_hash(bytes: &[u8]) -> u64 {
+    let step = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut h = words.iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        step(h, u64::from_le_bytes(*w))
+    });
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    h = step(step(h, u64::from_le_bytes(last)), bytes.len() as u64);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// A request's cache key: its content and the content's hash, made by
+/// [`ResponseCache::key`].
+pub struct CacheKey {
+    hash: u64,
+    bytes: Vec<u8>,
 }
 
 struct Slot {
     hash: u64,
     key: Vec<u8>,
+    /// The shard tick at insertion: unique within the shard, it is how a
+    /// reservation finds its pending slot.
+    id: u64,
     /// `None` while the first arrival is still computing.
     value: Option<Arc<Vec<u8>>>,
     last_used: u64,
@@ -77,6 +102,10 @@ impl Inner {
         self.slots
             .iter()
             .position(|s| s.hash == hash && s.key == key)
+    }
+
+    fn position_of(&self, id: u64) -> Option<usize> {
+        self.slots.iter().position(|s| s.id == id)
     }
 
     fn touch(&mut self, idx: usize) {
@@ -139,8 +168,8 @@ pub enum Lookup<'a> {
 pub struct Reservation<'a> {
     shard: Option<&'a CacheShard>,
     shard_capacity: usize,
-    hash: u64,
-    key: Vec<u8>,
+    /// The pending slot's [`Slot::id`].
+    id: u64,
 }
 
 impl Reservation<'_> {
@@ -149,7 +178,7 @@ impl Reservation<'_> {
         if let Some(shard) = self.shard.take() {
             {
                 let mut inner = shard.lock();
-                if let Some(idx) = inner.position(self.hash, &self.key) {
+                if let Some(idx) = inner.position_of(self.id) {
                     inner.slots[idx].value = Some(value);
                     inner.touch(idx);
                 }
@@ -168,7 +197,7 @@ impl Drop for Reservation<'_> {
         if let Some(shard) = self.shard.take() {
             {
                 let mut inner = shard.lock();
-                if let Some(idx) = inner.position(self.hash, &self.key) {
+                if let Some(idx) = inner.position_of(self.id) {
                     if inner.slots[idx].value.is_none() {
                         inner.slots.swap_remove(idx);
                     }
@@ -203,7 +232,7 @@ impl ResponseCache {
         ResponseCache {
             shard_capacity: capacity.div_ceil(nshards),
             disabled: capacity == 0,
-            hasher: fnv1a,
+            hasher: content_hash,
             shards: (0..nshards)
                 .map(|_| CacheShard {
                     inner: Mutex::new(Inner {
@@ -227,29 +256,36 @@ impl ResponseCache {
     }
 
     fn shard_of(&self, hash: u64) -> &CacheShard {
-        // High bits: FNV-1a mixes them well, and the slot scan already
-        // compares the full hash so no entropy is wasted.
+        // High bits: the hash's finalizer mixes them well, and the slot
+        // scan already compares the full hash so no entropy is wasted.
         let idx = (hash >> 32) as usize % self.shards.len();
         &self.shards[idx]
     }
 
+    /// Hash `bytes` into a lookup key.
+    pub fn key(&self, bytes: Vec<u8>) -> CacheKey {
+        CacheKey {
+            hash: (self.hasher)(&bytes),
+            bytes,
+        }
+    }
+
     /// Look `key` up; either return the (possibly awaited) response bytes
     /// or make this caller responsible for computing them.
-    pub fn get_or_reserve(&self, key: &[u8]) -> Lookup<'_> {
+    pub fn get_or_reserve(&self, key: CacheKey) -> Lookup<'_> {
         if self.disabled {
             spmv_observe::counter("serve.cache.misses", 1);
             return Lookup::Miss(Reservation {
                 shard: None,
                 shard_capacity: 0,
-                hash: 0,
-                key: Vec::new(),
+                id: 0,
             });
         }
-        let hash = (self.hasher)(key);
+        let CacheKey { hash, bytes } = key;
         let shard = self.shard_of(hash);
         let mut inner = shard.lock();
         loop {
-            match inner.position(hash, key) {
+            match inner.position(hash, &bytes) {
                 Some(idx) if inner.slots[idx].value.is_some() => {
                     inner.touch(idx);
                     let value = match &inner.slots[idx].value {
@@ -269,19 +305,19 @@ impl ResponseCache {
                 }
                 None => {
                     inner.tick += 1;
-                    let last_used = inner.tick;
+                    let id = inner.tick;
                     inner.slots.push(Slot {
                         hash,
-                        key: key.to_vec(),
+                        key: bytes,
+                        id,
                         value: None,
-                        last_used,
+                        last_used: id,
                     });
                     spmv_observe::counter("serve.cache.misses", 1);
                     return Lookup::Miss(Reservation {
                         shard: Some(shard),
                         shard_capacity: self.shard_capacity,
-                        hash,
-                        key: key.to_vec(),
+                        id,
                     });
                 }
             }
@@ -319,8 +355,12 @@ impl ResponseCache {
 mod tests {
     use super::*;
 
+    fn get<'a>(cache: &'a ResponseCache, key: &[u8]) -> Lookup<'a> {
+        cache.get_or_reserve(cache.key(key.to_vec()))
+    }
+
     fn fill(cache: &ResponseCache, key: &[u8], value: &[u8]) {
-        match cache.get_or_reserve(key) {
+        match get(cache, key) {
             Lookup::Miss(res) => res.fulfill(Arc::new(value.to_vec())),
             Lookup::Hit(_) => panic!("expected a miss for {key:?}"),
         }
@@ -330,7 +370,7 @@ mod tests {
     fn hit_returns_the_fulfilled_bytes() {
         let cache = ResponseCache::new(4);
         fill(&cache, b"k", b"response");
-        match cache.get_or_reserve(b"k") {
+        match get(&cache, b"k") {
             Lookup::Hit(v) => assert_eq!(&**v, b"response"),
             Lookup::Miss(_) => panic!("expected hit"),
         };
@@ -343,7 +383,7 @@ mod tests {
         fill(&cache, b"a", b"1");
         fill(&cache, b"b", b"2");
         // Touch `a`, making `b` the LRU victim.
-        assert!(matches!(cache.get_or_reserve(b"a"), Lookup::Hit(_)));
+        assert!(matches!(get(&cache, b"a"), Lookup::Hit(_)));
         fill(&cache, b"c", b"3");
         assert!(cache.contains(b"a"));
         assert!(!cache.contains(b"b"), "b was least recently used");
@@ -369,11 +409,11 @@ mod tests {
         let cache = ResponseCache::with_hasher(4, |_| 42);
         fill(&cache, b"alpha", b"A");
         fill(&cache, b"beta", b"B");
-        match cache.get_or_reserve(b"alpha") {
+        match get(&cache, b"alpha") {
             Lookup::Hit(v) => assert_eq!(&**v, b"A"),
             Lookup::Miss(_) => panic!("alpha should be resident"),
         }
-        match cache.get_or_reserve(b"beta") {
+        match get(&cache, b"beta") {
             Lookup::Hit(v) => assert_eq!(&**v, b"B"),
             Lookup::Miss(_) => panic!("beta should be resident"),
         };
@@ -383,32 +423,32 @@ mod tests {
     fn zero_capacity_never_retains() {
         let cache = ResponseCache::new(0);
         fill(&cache, b"k", b"v");
-        assert!(matches!(cache.get_or_reserve(b"k"), Lookup::Miss(_)));
+        assert!(matches!(get(&cache, b"k"), Lookup::Miss(_)));
         assert!(cache.is_empty());
     }
 
     #[test]
     fn aborted_reservation_unblocks_the_key() {
         let cache = ResponseCache::new(4);
-        match cache.get_or_reserve(b"k") {
+        match get(&cache, b"k") {
             Lookup::Miss(res) => drop(res), // compute "failed"
             Lookup::Hit(_) => panic!(),
         }
         // The key is free again: the next arrival recomputes.
-        assert!(matches!(cache.get_or_reserve(b"k"), Lookup::Miss(_)));
+        assert!(matches!(get(&cache, b"k"), Lookup::Miss(_)));
     }
 
     #[test]
     fn single_flight_waiters_get_the_leaders_bytes() {
         let cache = Arc::new(ResponseCache::new(4));
-        let res = match cache.get_or_reserve(b"k") {
+        let res = match get(&cache, b"k") {
             Lookup::Miss(res) => res,
             Lookup::Hit(_) => panic!(),
         };
         let waiters: Vec<_> = (0..4)
             .map(|_| {
                 let cache = Arc::clone(&cache);
-                std::thread::spawn(move || match cache.get_or_reserve(b"k") {
+                std::thread::spawn(move || match get(&cache, b"k") {
                     Lookup::Hit(v) => v,
                     Lookup::Miss(_) => panic!("waiter must not recompute"),
                 })
@@ -425,7 +465,7 @@ mod tests {
     #[test]
     fn pending_slots_are_never_evicted() {
         let cache = ResponseCache::with_shards(1, 1);
-        let pending = match cache.get_or_reserve(b"pinned") {
+        let pending = match get(&cache, b"pinned") {
             Lookup::Miss(res) => res,
             Lookup::Hit(_) => panic!(),
         };
@@ -445,7 +485,7 @@ mod tests {
             let keys: Vec<Vec<u8>> = (0..16u32).map(|i| i.to_le_bytes().to_vec()).collect();
             for k in &keys {
                 assert!(
-                    matches!(cache.get_or_reserve(k), Lookup::Miss(_)),
+                    matches!(get(&cache, k), Lookup::Miss(_)),
                     "first sight must miss at {nshards} shards"
                 );
                 // Unfulfilled reservation dropped: recomputes next time.
@@ -455,7 +495,7 @@ mod tests {
             }
             for k in &keys {
                 assert!(
-                    matches!(cache.get_or_reserve(k), Lookup::Hit(_)),
+                    matches!(get(&cache, k), Lookup::Hit(_)),
                     "fulfilled key must hit at {nshards} shards"
                 );
             }

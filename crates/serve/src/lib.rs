@@ -66,7 +66,7 @@ use spmv_features::{FeatureVector, FEATURE_COUNT};
 use spmv_matrix::Format;
 
 use crate::batch::Batcher;
-use crate::cache::{Lookup, ResponseCache};
+use crate::cache::{CacheKey, Lookup, ResponseCache};
 use crate::event::ShardStats;
 use crate::http::{error_body, Limits, ProtocolError, Request};
 
@@ -481,22 +481,32 @@ fn online_observe<F>(
     }
 }
 
+/// The response cache lookup (and any single-flight wait), under its span.
+fn lookup(shared: &Shared, key: CacheKey) -> Lookup<'_> {
+    let _span = spmv_observe::span("serve/request/cache");
+    shared.cache.get_or_reserve(key)
+}
+
 fn recommend_matrix(shared: &Shared, body: &[u8]) -> Routed {
     spmv_observe::counter("serve.recommend.matrix", 1);
     let snapshot = shared.online.snapshot();
     // Key prefix separates the two request namespaces so a feature-vector
     // key can never alias a MatrixMarket body.
-    let mut key = scoped_key(&snapshot, b'm', body.len());
-    key.extend_from_slice(body);
-    match shared.cache.get_or_reserve(&key) {
+    let key = {
+        let _span = spmv_observe::span("serve/request/cache_key");
+        let mut key = scoped_key(&snapshot, b'm', body.len());
+        key.extend_from_slice(body);
+        shared.cache.key(key)
+    };
+    match lookup(shared, key) {
         Lookup::Hit(bytes) => ok_json(bytes.to_vec()),
         Lookup::Miss(reservation) => {
             let parsed = {
                 let _span = spmv_observe::span("serve/request/parse");
-                spmv_matrix::mm::read_matrix_market::<f64, _>(body)
+                spmv_matrix::mm::read_matrix_market_csr::<f64>(body)
             };
             let matrix = match parsed {
-                Ok(m) => m.to_csr(),
+                Ok(m) => m,
                 Err(e) => {
                     // Reservation dropped: the key stays uncached and any
                     // concurrent duplicate re-parses for itself.
@@ -565,11 +575,15 @@ fn recommend_features(shared: &Shared, body: &[u8]) -> Routed {
     let snapshot = shared.online.snapshot();
     // Cache key: the 17 exact bit patterns (semantic identity — two
     // textually different JSON bodies with the same values share a key).
-    let mut key = scoped_key(&snapshot, b'f', FEATURE_COUNT * 8);
-    for v in &parsed.features {
-        key.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    match shared.cache.get_or_reserve(&key) {
+    let key = {
+        let _span = spmv_observe::span("serve/request/cache_key");
+        let mut key = scoped_key(&snapshot, b'f', FEATURE_COUNT * 8);
+        for v in &parsed.features {
+            key.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        shared.cache.key(key)
+    };
+    match lookup(shared, key) {
         Lookup::Hit(bytes) => ok_json(bytes.to_vec()),
         Lookup::Miss(reservation) => {
             let response = {

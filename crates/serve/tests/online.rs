@@ -288,10 +288,13 @@ fn concurrent_requests_see_coherent_generations_across_swap() {
     let boot_checksum = json_str(&healthz_json(&addr), "checksum").unwrap();
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // Set by the first reader whose `/healthz` shows the promoted generation.
+    let swap_seen = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let readers: Vec<_> = (0..4)
         .map(|t| {
             let addr = Arc::clone(&addr);
             let stop = Arc::clone(&stop);
+            let swap_seen = Arc::clone(&swap_seen);
             let boot_checksum = boot_checksum.clone();
             std::thread::spawn(move || {
                 let mut seen_gen1 = false;
@@ -311,6 +314,7 @@ fn concurrent_requests_see_coherent_generations_across_swap() {
                         1 => {
                             assert_ne!(checksum, boot_checksum, "torn healthz read");
                             seen_gen1 = true;
+                            swap_seen.store(true, std::sync::atomic::Ordering::SeqCst);
                         }
                         other => panic!("impossible generation {other}"),
                     }
@@ -334,16 +338,16 @@ fn concurrent_requests_see_coherent_generations_across_swap() {
     let (status, _b) = http_roundtrip(&addr, "POST", "/admin/canary/sync", b"").unwrap();
     assert_eq!(status, 200);
     // Reader traffic closes the 2-wide canary window on its own; wait
-    // for the promotion to land, then let the readers observe it.
+    // until a reader has observed the promotion.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    while json_u64(&healthz_json(&addr), "generation") != Some(1) {
+    while !swap_seen.load(std::sync::atomic::Ordering::SeqCst) {
         assert!(
             std::time::Instant::now() < deadline,
-            "promotion never landed"
+            "no reader observed the promotion: generation {:?}",
+            json_u64(&healthz_json(&addr), "generation")
         );
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    std::thread::sleep(std::time::Duration::from_millis(100));
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     // Join every reader first (a panicked reader must fail the test),
     // then check at least one saw the new generation.

@@ -257,6 +257,24 @@ fn malformed_matrix_market_is_typed_400() {
 }
 
 #[test]
+fn oversized_matrix_declarations_are_typed_400() {
+    let server = small_server();
+    let addr = server.addr().to_string();
+    for body in [
+        // 5e9 rows: beyond the u32 index range.
+        &b"%%MatrixMarket matrix coordinate real general\n5000000000 1 1\n1 1 1.0\n"[..],
+        // 1e17 entries declared, one delivered.
+        &b"%%MatrixMarket matrix coordinate real general\n1 1 99999999999999999\n1 1 1.0\n"[..],
+    ] {
+        let (status, response) = http_roundtrip(&addr, "POST", "/v1/recommend", body).unwrap();
+        assert_eq!(status, 400, "body: {}", String::from_utf8_lossy(body));
+        assert!(String::from_utf8_lossy(&response).contains("bad_matrix"));
+        assert_alive(&server);
+    }
+    server.shutdown();
+}
+
+#[test]
 fn wrong_arity_feature_vector_is_typed_400() {
     let server = small_server();
     let (status, body) = http_roundtrip(

@@ -1,46 +1,62 @@
-//! Steady-state allocation audit for the structural profiling engine.
+//! Allocation audits.
 //!
-//! A counting `#[global_allocator]` proves the PR-3 claim directly: once a
+//! A counting `#[global_allocator]` proves two claims directly. Once a
 //! worker's [`StructureScratch`] is warm, deriving every format's
 //! value-free view and profiling it allocates **zero** heap blocks — no
-//! value plane, no per-format index copies, nothing. This file holds a
-//! single test so no concurrent test can pollute the counter.
+//! value plane, no per-format index copies, nothing. And the MatrixMarket
+//! reader makes the same number of allocations whatever the line count.
+//! The counter and its switch are per thread, so concurrent tests cannot
+//! pollute each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use spmv_gpusim::{Dataflow, KernelProfile, SpgemmProfile};
 use spmv_matrix::{
-    CsrMatrix, CsrStructure, Format, FormatStructure, Precision, RowStats, SpgemmOperand,
+    mm, CsrMatrix, CsrStructure, Format, FormatStructure, Precision, RowStats, SpgemmOperand,
     SpgemmSymbolic, StructureScratch, TripletBuilder,
 };
 
-/// Counts allocations (and growth reallocations) while armed; frees are
-/// intentionally not counted — returning warm capacity is the whole point.
+/// Counts the calling thread's allocations (and growth reallocations)
+/// while it is armed; frees are intentionally not counted — returning
+/// warm capacity is the whole point.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised and without destructors, so the allocator can
+    // read them without allocating.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    if ARMED.get() {
+        ALLOCS.set(ALLOCS.get() + 1);
+    }
+}
+
+/// Heap blocks `f` allocates on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> usize {
+    ALLOCS.set(0);
+    ARMED.set(true);
+    std::hint::black_box(f());
+    ARMED.set(false);
+    ALLOCS.get()
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -80,16 +96,13 @@ fn warm_scratch_profiles_every_format_with_zero_allocations() {
     // Audited pass: the exact per-matrix work `collect_with` does for an
     // already-generated CSR — shared row analysis, six structural views,
     // six kernel profiles — must not touch the heap at all.
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let stats = RowStats::of(csr.row_ptr());
-    for fmt in Format::ALL {
-        let s = FormatStructure::build(&csr, fmt, &stats, &mut scratch).expect("well-behaved");
-        std::hint::black_box(KernelProfile::of_structure(&s));
-    }
-    ARMED.store(false, Ordering::SeqCst);
-
-    let n = ALLOCS.load(Ordering::SeqCst);
+    let n = allocations(|| {
+        let stats = RowStats::of(csr.row_ptr());
+        for fmt in Format::ALL {
+            let s = FormatStructure::build(&csr, fmt, &stats, &mut scratch).expect("well-behaved");
+            std::hint::black_box(KernelProfile::of_structure(&s));
+        }
+    });
     assert_eq!(
         n, 0,
         "structural profiling with warm scratch must be allocation-free"
@@ -110,23 +123,58 @@ fn warm_scratch_profiles_every_format_with_zero_allocations() {
         std::hint::black_box(SpgemmSymbolic::analyze(view, operand, 7, &mut scratch));
     }
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    for operand in [SpgemmOperand::AA, SpgemmOperand::AAt] {
-        let sym = SpgemmSymbolic::analyze(view, operand, 7, &mut scratch);
-        let profile = SpgemmProfile::of_symbolic(&sym, csr.nnz());
-        std::hint::black_box(profile.dataflow_features());
-        for df in Dataflow::ALL {
-            for arch in spmv_gpusim::GpuArch::PAPER_MACHINES.iter() {
-                std::hint::black_box(profile.predict_seconds(df, arch, Precision::Double));
+    let n = allocations(|| {
+        for operand in [SpgemmOperand::AA, SpgemmOperand::AAt] {
+            let sym = SpgemmSymbolic::analyze(view, operand, 7, &mut scratch);
+            let profile = SpgemmProfile::of_symbolic(&sym, csr.nnz());
+            std::hint::black_box(profile.dataflow_features());
+            for df in Dataflow::ALL {
+                for arch in spmv_gpusim::GpuArch::PAPER_MACHINES.iter() {
+                    std::hint::black_box(profile.predict_seconds(df, arch, Precision::Double));
+                }
             }
         }
-    }
-    ARMED.store(false, Ordering::SeqCst);
-
-    let n = ALLOCS.load(Ordering::SeqCst);
+    });
     assert_eq!(
         n, 0,
         "symbolic SpGEMM analysis with warm scratch must be allocation-free"
     );
+}
+
+/// A real MatrixMarket body with `entries` distinct lower-triangle
+/// entries, and `filler` comment and blank lines after each.
+fn mm_body(symmetry: &str, entries: usize, filler: usize) -> Vec<u8> {
+    let mut body = format!("%%MatrixMarket matrix coordinate real {symmetry}\n200 200 {entries}\n");
+    let lower = (0..200).flat_map(|r| (0..=r).map(move |c| (r, c)));
+    for (i, (r, c)) in lower.take(entries).enumerate() {
+        body.push_str(&format!("{} {} {}.5\n", r + 1, c + 1, i % 7 + 1));
+        for k in 0..filler {
+            body.push_str(if k % 2 == 0 { "% filler\n" } else { "\n" });
+        }
+    }
+    body.into_bytes()
+}
+
+#[test]
+fn matrix_market_reader_allocations_do_not_grow_with_the_line_count() {
+    for symmetry in ["general", "symmetric"] {
+        let read = |body: &[u8]| {
+            allocations(|| mm::read_matrix_market_csr::<f64>(body).expect("valid body"))
+        };
+        let base = read(&mm_body(symmetry, 10_000, 0));
+        assert_eq!(
+            read(&mm_body(symmetry, 10_000, 3)),
+            base,
+            "{symmetry}: 40k lines"
+        );
+        assert_eq!(
+            read(&mm_body(symmetry, 1_000, 0)),
+            base,
+            "{symmetry}: 1k entries"
+        );
+        // Four for the header's tokens; seven for the builder's triplet
+        // arrays, row pointers, keys and output; one for the coordinate
+        // list of a symmetric file.
+        assert!(base <= 12, "{symmetry}: {base} allocations");
+    }
 }
