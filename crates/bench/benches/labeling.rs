@@ -86,15 +86,14 @@ fn bench_label_corpus(c: &mut Criterion) {
                     let csr: CsrMatrix<f64> = spec.generate();
                     let (times, failures) =
                         measure_matrix_outcomes_reference(&csr, &sim, spec.seed, &spec.name, &plan);
-                    MatrixRecord {
-                        name: spec.name.clone(),
-                        bucket: suite.bucket_of[i],
-                        family: spec.kind.family().to_string(),
-                        shape: (csr.n_rows(), csr.n_cols(), csr.nnz()),
-                        features: extract(&csr),
+                    MatrixRecord::new(
+                        &suite,
+                        i,
+                        (csr.n_rows(), csr.n_cols(), csr.nnz()),
+                        extract(&csr),
                         times,
                         failures,
-                    }
+                    )
                 })
                 .collect();
             records

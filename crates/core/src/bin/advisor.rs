@@ -527,12 +527,7 @@ fn run_spgemm(opts: &Opts, sc: Scenario) -> ExitCode {
     // symbolic block is deterministic across runs and thread counts.
     let mut scratch = StructureScratch::new();
     let sym = SpgemmSymbolic::analyze(
-        CsrStructure {
-            n_rows: csr.n_rows(),
-            n_cols: csr.n_cols(),
-            row_ptr: csr.row_ptr(),
-            col_idx: csr.col_idx(),
-        },
+        CsrStructure::from(&csr),
         operand,
         cfg.suite_seed,
         &mut scratch,

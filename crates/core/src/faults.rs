@@ -198,6 +198,18 @@ impl FaultPlan {
         fail
     }
 
+    /// The reason an injected fault at `site` records for the key `key`
+    /// builds, if this plan fails that key. A plan without rules builds
+    /// no key, so a fault-free run formats nothing.
+    pub(crate) fn injected(&self, site: FaultSite, key: impl FnOnce() -> String) -> Option<String> {
+        if self.is_empty() {
+            return None;
+        }
+        let key = key();
+        self.should_fail(site, &key)
+            .then(|| FaultPlan::reason(site, &key))
+    }
+
     /// The canonical reason string recorded for an injected fault, so
     /// injected-failure artifacts are deterministic and greppable.
     pub fn reason(site: FaultSite, key: &str) -> String {

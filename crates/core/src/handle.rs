@@ -21,7 +21,7 @@
 use std::path::Path;
 
 use spmv_features::{extract, FeatureVector};
-use spmv_matrix::{CsrMatrix, Format, Scalar};
+use spmv_matrix::{CsrMatrix, CsrStructure, Format, Scalar};
 
 use crate::advisor::{ArtifactError, FormatAdvisor, Recommendation, RecommendationSource};
 use crate::heuristic::HeuristicAdvisor;
@@ -136,14 +136,22 @@ impl AdvisorHandle {
         }
     }
 
-    /// Recommend for a parsed matrix. Extracts features once and runs both
-    /// the classifier and the time regressor on the same vector, so the
-    /// answer matches [`FormatAdvisor::recommend`] +
-    /// [`FormatAdvisor::predict_times`] bit for bit.
+    /// Recommend for a parsed matrix: [`AdvisorHandle::recommend_structure`]
+    /// over its structure, since no answer depends on the values.
     pub fn recommend_csr<T: Scalar>(&self, matrix: &CsrMatrix<T>) -> RecommendResponse {
+        self.recommend_structure(matrix.into())
+    }
+
+    /// Recommend for a matrix structure. Extracts features once and runs
+    /// both the classifier and the time regressor on the same vector, so
+    /// the answer matches [`FormatAdvisor::recommend`] +
+    /// [`FormatAdvisor::predict_times`] bit for bit.
+    pub fn recommend_structure(&self, structure: CsrStructure<'_>) -> RecommendResponse {
         match &self.backend {
-            AdvisorBackend::Model(_) => self.recommend_features(&extract(matrix)),
-            AdvisorBackend::Heuristic { .. } => respond(HeuristicAdvisor.recommend(matrix), None),
+            AdvisorBackend::Model(_) => self.recommend_features(&extract(structure)),
+            AdvisorBackend::Heuristic { .. } => {
+                respond(HeuristicAdvisor.recommend(structure), None)
+            }
         }
     }
 

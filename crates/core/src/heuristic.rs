@@ -8,7 +8,7 @@
 //! safe default for everything else.
 
 use spmv_features::{FeatureId, FeatureVector};
-use spmv_matrix::{CsrMatrix, Format, Scalar};
+use spmv_matrix::{CsrStructure, Format};
 
 use crate::advisor::{Recommendation, RecommendationSource};
 
@@ -24,10 +24,17 @@ impl HeuristicAdvisor {
     /// The confidence reflects how sharply the rule separates formats in
     /// the paper's measurements, not a calibrated probability: ELL on
     /// near-uniform rows is a strong call (0.7), the skew rules are weaker
-    /// (0.5–0.6), and the CSR default is a coin-flip-plus (0.5).
-    pub fn recommend<T: Scalar>(&self, matrix: &CsrMatrix<T>) -> Recommendation {
-        let n_rows = matrix.n_rows();
-        let nnz = matrix.nnz();
+    /// (0.5–0.6), and the CSR default is a coin-flip-plus (0.5). The
+    /// rules read only the structure (a [`spmv_matrix::CsrMatrix`],
+    /// [`spmv_matrix::PatternCsr`] or [`CsrStructure`]).
+    pub fn recommend<'a>(&self, matrix: impl Into<CsrStructure<'a>>) -> Recommendation {
+        let CsrStructure {
+            n_rows,
+            row_ptr,
+            col_idx,
+            ..
+        } = matrix.into();
+        let nnz = col_idx.len();
         if n_rows == 0 || nnz == 0 {
             return degenerate();
         }
@@ -35,7 +42,6 @@ impl HeuristicAdvisor {
         let mu = nnz as f64 / n_rows as f64;
         let mut var = 0.0f64;
         let mut max_len = 0usize;
-        let row_ptr = matrix.row_ptr();
         for w in row_ptr.windows(2) {
             let len = (w[1] - w[0]) as usize;
             max_len = max_len.max(len);
@@ -111,7 +117,7 @@ fn rule(mu: f64, sigma: f64, max_len: f64) -> Recommendation {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use spmv_matrix::TripletBuilder;
+    use spmv_matrix::{CsrMatrix, TripletBuilder};
 
     fn matrix(rows: usize, cols: usize, entries: &[(usize, usize)]) -> CsrMatrix<f64> {
         let mut b = TripletBuilder::new(rows, cols);

@@ -100,6 +100,29 @@ pub struct MatrixRecord {
 }
 
 impl MatrixRecord {
+    /// The record of suite matrix `i`, its name, census bucket and family
+    /// taken from the suite, with no op-specific extra features.
+    pub fn new(
+        suite: &SyntheticSuite,
+        i: usize,
+        shape: (usize, usize, usize),
+        features: FeatureVector,
+        times: CellTimes,
+        failures: Vec<LabelFailure>,
+    ) -> MatrixRecord {
+        let spec = &suite.specs[i];
+        MatrixRecord {
+            name: spec.name.clone(),
+            bucket: suite.bucket_of[i],
+            family: spec.kind.family().to_string(),
+            shape,
+            features,
+            times,
+            failures,
+            extra: Vec::new(),
+        }
+    }
+
     /// Times for one environment, per format.
     pub fn env_times(&self, env: Env) -> &[Option<f64>; N_FORMATS] {
         &self.times[env.arch_idx][env.precision.idx()]
@@ -239,12 +262,11 @@ pub fn measure_matrix_outcomes_in(
     // the cache measures it once for the whole format sweep.
     let mut cache = ProfileCache::new();
     for fmt in Format::ALL {
-        let conv_key = format!("{name}/{fmt}");
-        if plan.should_fail(FaultSite::Conversion, &conv_key) {
+        if let Some(reason) = plan.injected(FaultSite::Conversion, || format!("{name}/{fmt}")) {
             failures.push(LabelFailure {
                 format: Some(fmt),
                 env: None,
-                reason: FaultPlan::reason(FaultSite::Conversion, &conv_key),
+                reason,
             });
             continue;
         }
@@ -269,12 +291,13 @@ pub fn measure_matrix_outcomes_in(
                     arch_idx: ai,
                     precision: prec,
                 };
-                let cell_key = format!("{name}/{fmt}/{}/{}", arch.name, prec.label());
-                if plan.should_fail(FaultSite::Measurement, &cell_key) {
+                if let Some(reason) = plan.injected(FaultSite::Measurement, || {
+                    format!("{name}/{fmt}/{}/{}", arch.name, prec.label())
+                }) {
                     failures.push(LabelFailure {
                         format: Some(fmt),
                         env: Some(env),
-                        reason: FaultPlan::reason(FaultSite::Measurement, &cell_key),
+                        reason,
                     });
                     continue;
                 }
@@ -305,12 +328,11 @@ pub fn measure_matrix_outcomes_reference(
     let mut times: CellTimes = [[[None; N_FORMATS]; 2]; 2];
     let mut failures: Vec<LabelFailure> = Vec::new();
     for fmt in Format::ALL {
-        let conv_key = format!("{name}/{fmt}");
-        if plan.should_fail(FaultSite::Conversion, &conv_key) {
+        if let Some(reason) = plan.injected(FaultSite::Conversion, || format!("{name}/{fmt}")) {
             failures.push(LabelFailure {
                 format: Some(fmt),
                 env: None,
-                reason: FaultPlan::reason(FaultSite::Conversion, &conv_key),
+                reason,
             });
             continue;
         }
@@ -332,12 +354,13 @@ pub fn measure_matrix_outcomes_reference(
                     arch_idx: ai,
                     precision: prec,
                 };
-                let cell_key = format!("{name}/{fmt}/{}/{}", arch.name, prec.label());
-                if plan.should_fail(FaultSite::Measurement, &cell_key) {
+                if let Some(reason) = plan.injected(FaultSite::Measurement, || {
+                    format!("{name}/{fmt}/{}/{}", arch.name, prec.label())
+                }) {
                     failures.push(LabelFailure {
                         format: Some(fmt),
                         env: Some(env),
-                        reason: FaultPlan::reason(FaultSite::Measurement, &cell_key),
+                        reason,
                     });
                     continue;
                 }
@@ -387,21 +410,18 @@ pub(crate) fn worker_features(
 /// the corpus stays aligned with the suite (shared by every collector).
 pub(crate) fn panic_record(suite: &SyntheticSuite, i: usize, message: &str) -> MatrixRecord {
     spmv_observe::counter("labeling.worker_panics", 1);
-    let spec = &suite.specs[i];
-    MatrixRecord {
-        name: spec.name.clone(),
-        bucket: suite.bucket_of[i],
-        family: spec.kind.family().to_string(),
-        shape: (0, 0, 0),
-        features: FeatureVector::zeros(),
-        times: [[[None; N_FORMATS]; 2]; 2],
-        failures: vec![LabelFailure {
+    MatrixRecord::new(
+        suite,
+        i,
+        (0, 0, 0),
+        FeatureVector::zeros(),
+        [[[None; N_FORMATS]; 2]; 2],
+        vec![LabelFailure {
             format: None,
             env: None,
             reason: format!("label worker panicked: {message}"),
         }],
-        extra: Vec::new(),
-    }
+    )
 }
 
 impl LabeledCorpus {
@@ -448,16 +468,14 @@ impl LabeledCorpus {
                 measure_matrix_outcomes_in(&csr, &stats, scratch, sim, spec.seed, &spec.name, plan);
             failures.extend(measure_failures);
             spmv_observe::counter("labeling.failures", failures.len() as u64);
-            MatrixRecord {
-                name: spec.name.clone(),
-                bucket: suite.bucket_of[i],
-                family: spec.kind.family().to_string(),
-                shape: (csr.n_rows(), csr.n_cols(), csr.nnz()),
+            MatrixRecord::new(
+                suite,
+                i,
+                (csr.n_rows(), csr.n_cols(), csr.nnz()),
                 features,
                 times,
                 failures,
-                extra: Vec::new(),
-            }
+            )
         });
         let records = results
             .into_iter()

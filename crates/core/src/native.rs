@@ -180,12 +180,11 @@ pub fn measure_matrix_native_outcomes_in(
         }
     };
     for fmt in Format::ALL {
-        let conv_key = format!("{name}/{fmt}");
-        if plan.should_fail(FaultSite::Conversion, &conv_key) {
+        if let Some(reason) = plan.injected(FaultSite::Conversion, || format!("{name}/{fmt}")) {
             failures.push(LabelFailure {
                 format: Some(fmt),
                 env: None,
-                reason: FaultPlan::reason(FaultSite::Conversion, &conv_key),
+                reason,
             });
             continue;
         }
@@ -287,16 +286,14 @@ impl LabeledCorpus {
                 measure_matrix_native_outcomes_in(&csr, &stats, scratch, env, &spec.name, plan);
             failures.extend(measure_failures);
             spmv_observe::counter("labeling.failures", failures.len() as u64);
-            MatrixRecord {
-                name: spec.name.clone(),
-                bucket: suite.bucket_of[i],
-                family: spec.kind.family().to_string(),
-                shape: (csr.n_rows(), csr.n_cols(), csr.nnz()),
+            MatrixRecord::new(
+                suite,
+                i,
+                (csr.n_rows(), csr.n_cols(), csr.nnz()),
                 features,
                 times,
                 failures,
-                extra: Vec::new(),
-            }
+            )
         });
         let records = results
             .into_iter()

@@ -55,12 +55,11 @@ pub fn measure_matrix_op_outcomes_in(
     let mut failures: Vec<LabelFailure> = Vec::new();
     let mut cache = ProfileCache::new();
     for fmt in Format::ALL {
-        let conv_key = format!("{name}/{fmt}");
-        if plan.should_fail(FaultSite::Conversion, &conv_key) {
+        if let Some(reason) = plan.injected(FaultSite::Conversion, || format!("{name}/{fmt}")) {
             failures.push(LabelFailure {
                 format: Some(fmt),
                 env: None,
-                reason: FaultPlan::reason(FaultSite::Conversion, &conv_key),
+                reason,
             });
             continue;
         }
@@ -81,12 +80,13 @@ pub fn measure_matrix_op_outcomes_in(
                     arch_idx: ai,
                     precision: prec,
                 };
-                let cell_key = format!("{name}/{fmt}/{}/{}", arch.name, prec.label());
-                if plan.should_fail(FaultSite::Measurement, &cell_key) {
+                if let Some(reason) = plan.injected(FaultSite::Measurement, || {
+                    format!("{name}/{fmt}/{}/{}", arch.name, prec.label())
+                }) {
                     failures.push(LabelFailure {
                         format: Some(fmt),
                         env: Some(env),
-                        reason: FaultPlan::reason(FaultSite::Measurement, &cell_key),
+                        reason,
                     });
                     continue;
                 }
@@ -132,24 +132,18 @@ pub fn measure_matrix_spgemm_outcomes_in(
                    // pass derives its own row distribution from row_ptr
     let mut times: CellTimes = [[[None; N_FORMATS]; 2]; 2];
     let mut failures: Vec<LabelFailure> = Vec::new();
-    let view = CsrStructure {
-        n_rows: csr.n_rows(),
-        n_cols: csr.n_cols(),
-        row_ptr: csr.row_ptr(),
-        col_idx: csr.col_idx(),
-    };
+    let view = CsrStructure::from(csr);
     // The sampling seed is the matrix seed: deterministic per matrix,
     // independent of thread count and of the per-cell jitter streams.
     let sym = SpgemmSymbolic::analyze(view, operand, noise_seed, scratch);
     let profile = SpgemmProfile::of_symbolic(&sym, csr.nnz());
     let extra = profile.dataflow_features().to_vec();
     for df in Dataflow::ALL {
-        let conv_key = format!("{name}/{df}");
-        if plan.should_fail(FaultSite::Conversion, &conv_key) {
+        if let Some(reason) = plan.injected(FaultSite::Conversion, || format!("{name}/{df}")) {
             failures.push(LabelFailure {
                 format: None,
                 env: None,
-                reason: FaultPlan::reason(FaultSite::Conversion, &conv_key),
+                reason,
             });
             continue;
         }
@@ -159,12 +153,13 @@ pub fn measure_matrix_spgemm_outcomes_in(
                     arch_idx: ai,
                     precision: prec,
                 };
-                let cell_key = format!("{name}/{df}/{}/{}", arch.name, prec.label());
-                if plan.should_fail(FaultSite::Measurement, &cell_key) {
+                if let Some(reason) = plan.injected(FaultSite::Measurement, || {
+                    format!("{name}/{df}/{}/{}", arch.name, prec.label())
+                }) {
                     failures.push(LabelFailure {
                         format: None,
                         env: Some(env),
-                        reason: FaultPlan::reason(FaultSite::Measurement, &cell_key),
+                        reason,
                     });
                     continue;
                 }
@@ -212,16 +207,14 @@ impl LabeledCorpus {
             );
             failures.extend(measure_failures);
             spmv_observe::counter("labeling.failures", failures.len() as u64);
-            MatrixRecord {
-                name: spec.name.clone(),
-                bucket: suite.bucket_of[i],
-                family: spec.kind.family().to_string(),
-                shape: (csr.n_rows(), csr.n_cols(), csr.nnz()),
+            MatrixRecord::new(
+                suite,
+                i,
+                (csr.n_rows(), csr.n_cols(), csr.nnz()),
                 features,
                 times,
                 failures,
-                extra: Vec::new(),
-            }
+            )
         });
         let records = results
             .into_iter()
@@ -272,14 +265,15 @@ impl LabeledCorpus {
             failures.extend(measure_failures);
             spmv_observe::counter("labeling.failures", failures.len() as u64);
             MatrixRecord {
-                name: spec.name.clone(),
-                bucket: suite.bucket_of[i],
-                family: spec.kind.family().to_string(),
-                shape: (csr.n_rows(), csr.n_cols(), csr.nnz()),
-                features,
-                times,
-                failures,
                 extra,
+                ..MatrixRecord::new(
+                    suite,
+                    i,
+                    (csr.n_rows(), csr.n_cols(), csr.nnz()),
+                    features,
+                    times,
+                    failures,
+                )
             }
         });
         let records = results

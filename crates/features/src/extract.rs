@@ -1,7 +1,7 @@
-//! Feature extraction: one O(nnz) pass over a CSR matrix.
+//! Feature extraction: one O(nnz) pass over a CSR structure.
 
 use serde::{Deserialize, Serialize};
-use spmv_matrix::{CsrMatrix, RowStats, Scalar};
+use spmv_matrix::{CsrStructure, RowStats};
 
 use crate::names::{FeatureId, FeatureSet, FEATURE_COUNT};
 
@@ -72,9 +72,12 @@ impl FeatureVector {
     }
 }
 
-/// Extract all seventeen features from a CSR matrix.
-pub fn extract<T: Scalar>(m: &CsrMatrix<T>) -> FeatureVector {
-    extract_with_stats(m, &RowStats::of(m.row_ptr()))
+/// Extract all seventeen features from a CSR matrix or structure (a
+/// [`spmv_matrix::CsrMatrix`], [`spmv_matrix::PatternCsr`] or
+/// [`CsrStructure`]). The features read no values.
+pub fn extract<'a>(m: impl Into<CsrStructure<'a>>) -> FeatureVector {
+    let m = m.into();
+    extract_with_stats(m, &RowStats::of(m.row_ptr))
 }
 
 /// Extract all seventeen features, reusing row-length statistics already
@@ -85,10 +88,14 @@ pub fn extract<T: Scalar>(m: &CsrMatrix<T>) -> FeatureVector {
 /// hands the same statistics here, so the feature sweep only pays for the
 /// run analysis the stats don't cover. [`extract`] is this with freshly
 /// computed stats; the two agree bit-for-bit.
-pub fn extract_with_stats<T: Scalar>(m: &CsrMatrix<T>, stats: &RowStats) -> FeatureVector {
-    let n_rows = m.n_rows();
-    let n_cols = m.n_cols();
-    let nnz = m.nnz();
+pub fn extract_with_stats<'a>(m: impl Into<CsrStructure<'a>>, stats: &RowStats) -> FeatureVector {
+    let CsrStructure {
+        n_rows,
+        n_cols,
+        row_ptr,
+        col_idx,
+    } = m.into();
+    let nnz = col_idx.len();
     debug_assert_eq!(stats.n_rows, n_rows, "stats must describe this matrix");
     debug_assert_eq!(stats.nnz, nnz, "stats must describe this matrix");
 
@@ -107,8 +114,8 @@ pub fn extract_with_stats<T: Scalar>(m: &CsrMatrix<T>, stats: &RowStats) -> Feat
     let mut size_sum = 0usize; // == nnz, kept for clarity of the mean
     let mut size_sum_sq = 0.0f64;
 
-    for r in 0..n_rows {
-        let (cols, _) = m.row(r);
+    for w in row_ptr.windows(2) {
+        let cols = &col_idx[w[0] as usize..w[1] as usize];
         let len = cols.len();
 
         // Count contiguous column runs in this row.
@@ -184,7 +191,7 @@ pub fn extract_with_stats<T: Scalar>(m: &CsrMatrix<T>, stats: &RowStats) -> Feat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spmv_matrix::TripletBuilder;
+    use spmv_matrix::{CsrMatrix, TripletBuilder};
 
     /// [1 1 0 1]    rows: len 3 (runs: [0,1],[3] -> 2 runs)
     /// [0 0 0 0]    len 0, 0 runs

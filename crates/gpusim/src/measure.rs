@@ -296,12 +296,7 @@ mod tests {
             }
         }
         let csr = b.build().to_csr();
-        let view = spmv_matrix::CsrStructure {
-            n_rows: csr.n_rows(),
-            n_cols: csr.n_cols(),
-            row_ptr: csr.row_ptr(),
-            col_idx: csr.col_idx(),
-        };
+        let view = spmv_matrix::CsrStructure::from(&csr);
         let sym = spmv_matrix::SpgemmSymbolic::analyze(
             view,
             spmv_matrix::SpgemmOperand::AA,

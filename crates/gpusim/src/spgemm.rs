@@ -349,12 +349,7 @@ mod tests {
             }
         }
         let csr = b.build().to_csr();
-        let view = CsrStructure {
-            n_rows: csr.n_rows(),
-            n_cols: csr.n_cols(),
-            row_ptr: csr.row_ptr(),
-            col_idx: csr.col_idx(),
-        };
+        let view = CsrStructure::from(&csr);
         let sym =
             SpgemmSymbolic::analyze(view, SpgemmOperand::AA, 11, &mut StructureScratch::new());
         SpgemmProfile::of_symbolic(&sym, csr.nnz())

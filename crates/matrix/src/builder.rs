@@ -26,6 +26,7 @@ use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::{MatrixError, Result};
 use crate::scalar::Scalar;
+use crate::structure::PatternCsr;
 
 /// Accumulates `(row, col, value)` triplets for a matrix of fixed shape.
 #[derive(Debug, Clone)]
@@ -140,8 +141,8 @@ impl<T: Scalar> TripletBuilder<T> {
         self.build_csr().into_coo()
     }
 
-    /// The counting sort of the module docs, and the row-major-first
-    /// coordinate pushed more than once, if any.
+    /// The counting sort of the module docs with each run folded, and the
+    /// row-major-first coordinate pushed more than once, if any.
     fn assemble(self) -> (CsrMatrix<T>, Option<(usize, usize)>) {
         let TripletBuilder {
             n_rows,
@@ -151,61 +152,181 @@ impl<T: Scalar> TripletBuilder<T> {
             vals,
             keep_explicit_zeros,
         } = self;
-        assert!(
-            rows.len() <= u32::MAX as usize,
-            "triplet count must fit in u32"
-        );
+        let mut out_vals = Vec::with_capacity(vals.len());
+        let (ptr, out_cols, repeat) = sort_rows(n_rows, rows, cols, |run| {
+            let mut pushed = run.iter().map(|&key| vals[key as u32 as usize]);
+            let first = pushed.next().expect("chunks are non-empty");
+            let sum = pushed.fold(first, |sum, v| sum + v);
+            let keep = keep_explicit_zeros || sum != T::ZERO;
+            if keep {
+                out_vals.push(sum);
+            }
+            keep
+        });
+        let m = CsrMatrix::from_parts_unchecked(n_rows, n_cols, ptr, out_cols, out_vals);
+        (m, repeat)
+    }
+}
 
-        // ptr[r + 1] counts row r; the prefix sum makes ptr[r] its bucket start.
-        let mut ptr = vec![0u32; n_rows + 1];
-        for &r in &rows {
-            ptr[r as usize + 1] += 1;
+/// The counting sort of the module docs over pushed `(rows, cols)`. Each
+/// run of one coordinate, as its keys `(col << 32) | push_index` in push
+/// order, goes to `keep`, which says whether the coordinate is stored.
+/// Returns the row pointers, the stored column indices, and the
+/// row-major-first coordinate pushed more than once, if any.
+fn sort_rows(
+    n_rows: usize,
+    rows: Vec<u32>,
+    cols: Vec<u32>,
+    mut keep: impl FnMut(&[u64]) -> bool,
+) -> (Vec<u32>, Vec<u32>, Option<(usize, usize)>) {
+    assert!(
+        rows.len() <= u32::MAX as usize,
+        "triplet count must fit in u32"
+    );
+
+    // ptr[r + 1] counts row r; the prefix sum makes ptr[r] its bucket start.
+    let mut ptr = vec![0u32; n_rows + 1];
+    for &r in &rows {
+        ptr[r as usize + 1] += 1;
+    }
+    for r in 0..n_rows {
+        ptr[r + 1] += ptr[r];
+    }
+    // Scatter with ptr[r] as row r's cursor; afterwards ptr[r] holds the
+    // end of bucket r, i.e. the start of bucket r + 1.
+    let mut keys = vec![0u64; rows.len()];
+    for (i, (&r, &c)) in rows.iter().zip(&cols).enumerate() {
+        let slot = &mut ptr[r as usize];
+        keys[*slot as usize] = ((c as u64) << 32) | i as u64;
+        *slot += 1;
+    }
+    drop((rows, cols));
+
+    // Sort and fold each bucket. Once bucket r is read, ptr[r] is free
+    // and takes the output end of row r; a rotation then turns the ends
+    // into row pointers.
+    let mut out_cols = Vec::with_capacity(keys.len());
+    let mut repeat = None;
+    let mut lo = 0;
+    for (row, end) in ptr[..n_rows].iter_mut().enumerate() {
+        let hi = *end as usize;
+        let bucket = &mut keys[lo..hi];
+        if bucket.windows(2).any(|w| w[0] > w[1]) {
+            bucket.sort_unstable();
         }
+        for run in bucket.chunk_by(|a, b| a >> 32 == b >> 32) {
+            if run.len() > 1 && repeat.is_none() {
+                repeat = Some((row, (run[0] >> 32) as usize));
+            }
+            if keep(run) {
+                out_cols.push((run[0] >> 32) as u32);
+            }
+        }
+        *end = out_cols.len() as u32;
+        lo = hi;
+    }
+    ptr.rotate_right(1);
+    ptr[0] = 0;
+    (ptr, out_cols, repeat)
+}
+
+/// [`TripletBuilder`] without a value plane: each pushed coordinate
+/// carries only whether its value is exactly zero. This is all a file that
+/// may not repeat a coordinate needs to fix its structure, so the
+/// MatrixMarket structure reader builds with it.
+#[derive(Debug)]
+pub(crate) struct PatternBuilder {
+    n_rows: usize,
+    n_cols: usize,
+    rows: Vec<u32>,
+    cols: Vec<u32>,
+    /// Push indices of the zero-valued entries, ascending.
+    zeros: Vec<u32>,
+    /// Whether each push so far came after the one before it in row-major
+    /// order: the pushes are then CSR order already, without a repeat.
+    ordered: bool,
+    /// The least `(row << 32) | col` key the next push needs to keep
+    /// `ordered`.
+    next_key: u64,
+}
+
+impl PatternBuilder {
+    /// New builder for an `n_rows x n_cols` pattern with room for `nnz`
+    /// entries; the dimensions must fit in `u32`.
+    pub(crate) fn with_capacity(n_rows: usize, n_cols: usize, nnz: usize) -> PatternBuilder {
+        debug_assert!(n_rows <= u32::MAX as usize && n_cols <= u32::MAX as usize);
+        PatternBuilder {
+            n_rows,
+            n_cols,
+            rows: Vec::with_capacity(nnz),
+            cols: Vec::with_capacity(nnz),
+            zeros: Vec::new(),
+            ordered: true,
+            next_key: 0,
+        }
+    }
+
+    /// Push one coordinate and whether its value is zero, validating bounds
+    /// as [`TripletBuilder::push`] does.
+    pub(crate) fn push(&mut self, row: usize, col: usize, zero: bool) -> Result<()> {
+        if row >= self.n_rows || col >= self.n_cols {
+            return Err(MatrixError::IndexOutOfBounds {
+                row,
+                col,
+                n_rows: self.n_rows,
+                n_cols: self.n_cols,
+            });
+        }
+        let key = ((row as u64) << 32) | col as u64;
+        self.ordered &= key >= self.next_key;
+        self.next_key = key + 1;
+        if zero {
+            self.zeros.push(self.rows.len() as u32);
+        }
+        self.rows.push(row as u32);
+        self.cols.push(col as u32);
+        Ok(())
+    }
+
+    /// Freeze into a [`PatternCsr`] without the zero-valued coordinates;
+    /// `Err((row, col))` names the row-major-first coordinate pushed more
+    /// than once, zero or not. (A repeated coordinate's sum is unknown
+    /// here, so it is stored if any of its pushes is non-zero.)
+    pub(crate) fn build_unique(self) -> std::result::Result<PatternCsr, (usize, usize)> {
+        let PatternBuilder {
+            n_rows,
+            n_cols,
+            rows,
+            mut cols,
+            zeros,
+            ordered,
+            ..
+        } = self;
+        if !ordered {
+            let nonzero = |key: &u64| zeros.binary_search(&(*key as u32)).is_err();
+            return match sort_rows(n_rows, rows, cols, |run| run.iter().any(nonzero)) {
+                (ptr, cols, None) => {
+                    Ok(PatternCsr::from_parts_unchecked(n_rows, n_cols, ptr, cols))
+                }
+                (_, _, Some(repeat)) => Err(repeat),
+            };
+        }
+        // Already in CSR order: count the rows and close the zeros' gaps.
+        let mut ptr = vec![0u32; n_rows + 1];
+        let mut zeros = zeros.into_iter().peekable();
+        let mut kept = 0;
+        for (i, &r) in rows.iter().enumerate() {
+            if zeros.next_if_eq(&(i as u32)).is_none() {
+                ptr[r as usize + 1] += 1;
+                cols[kept] = cols[i];
+                kept += 1;
+            }
+        }
+        cols.truncate(kept);
         for r in 0..n_rows {
             ptr[r + 1] += ptr[r];
         }
-        // Scatter with ptr[r] as row r's cursor; afterwards ptr[r] holds the
-        // end of bucket r, i.e. the start of bucket r + 1.
-        let mut keys = vec![0u64; rows.len()];
-        for (i, (&r, &c)) in rows.iter().zip(&cols).enumerate() {
-            let slot = &mut ptr[r as usize];
-            keys[*slot as usize] = ((c as u64) << 32) | i as u64;
-            *slot += 1;
-        }
-        drop((rows, cols));
-
-        // Sort and sum each bucket. Once bucket r is read, ptr[r] is free
-        // and takes the output end of row r; a rotation then turns the
-        // ends into row pointers.
-        let mut out_cols = Vec::with_capacity(keys.len());
-        let mut out_vals = Vec::with_capacity(keys.len());
-        let mut repeat = None;
-        let mut lo = 0;
-        for (row, end) in ptr[..n_rows].iter_mut().enumerate() {
-            let hi = *end as usize;
-            let bucket = &mut keys[lo..hi];
-            if bucket.windows(2).any(|w| w[0] > w[1]) {
-                bucket.sort_unstable();
-            }
-            for run in bucket.chunk_by(|a, b| a >> 32 == b >> 32) {
-                if run.len() > 1 && repeat.is_none() {
-                    repeat = Some((row, (run[0] >> 32) as usize));
-                }
-                let mut pushed = run.iter().map(|&key| vals[key as u32 as usize]);
-                let first = pushed.next().expect("chunks are non-empty");
-                let sum = pushed.fold(first, |sum, v| sum + v);
-                if keep_explicit_zeros || sum != T::ZERO {
-                    out_cols.push((run[0] >> 32) as u32);
-                    out_vals.push(sum);
-                }
-            }
-            *end = out_cols.len() as u32;
-            lo = hi;
-        }
-        ptr.rotate_right(1);
-        ptr[0] = 0;
-        let m = CsrMatrix::from_parts_unchecked(n_rows, n_cols, ptr, out_cols, out_vals);
-        (m, repeat)
+        Ok(PatternCsr::from_parts_unchecked(n_rows, n_cols, ptr, cols))
     }
 }
 
@@ -311,6 +432,46 @@ mod tests {
         let m = TripletBuilder::<f64>::new(4, 5).build();
         assert_eq!(m.shape(), (4, 5));
         assert_eq!(m.nnz(), 0);
+    }
+
+    /// The pattern of `entries` through [`PatternBuilder`].
+    fn pattern(
+        entries: &[(usize, usize, bool)],
+    ) -> std::result::Result<PatternCsr, (usize, usize)> {
+        let mut b = PatternBuilder::with_capacity(3, 4, entries.len());
+        for &(r, c, zero) in entries {
+            b.push(r, c, zero).unwrap();
+        }
+        b.build_unique()
+    }
+
+    #[test]
+    fn pattern_builder_drops_zeros_in_and_out_of_order() {
+        let sorted = [
+            (0, 1, false),
+            (0, 3, true),
+            (1, 0, false),
+            (2, 2, true),
+            (2, 3, false),
+        ];
+        let mut shuffled = sorted;
+        shuffled.reverse();
+        let mut b = TripletBuilder::<f64>::new(3, 4);
+        for &(r, c, zero) in &sorted {
+            b.push(r, c, if zero { 0.0 } else { 1.0 }).unwrap();
+        }
+        let expected = b.build_csr().into_pattern();
+        assert_eq!(pattern(&sorted), Ok(expected.clone()));
+        assert_eq!(pattern(&shuffled), Ok(expected));
+    }
+
+    #[test]
+    fn pattern_builder_names_the_first_repeat_zero_or_not() {
+        // In push order and out of it, (1, 0) repeats first in row-major
+        // order, though (2, 2) repeats first in push order.
+        let entries = [(2, 2, false), (2, 2, true), (1, 0, true), (1, 0, false)];
+        assert_eq!(pattern(&entries), Err((1, 0)));
+        assert_eq!(pattern(&[(0, 0, true), (0, 0, false)]), Err((0, 0)));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::coo::CooMatrix;
 use crate::error::{MatrixError, Result};
 use crate::scalar::Scalar;
+use crate::structure::PatternCsr;
 
 /// Compressed-sparse-row matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -203,6 +204,12 @@ impl<T: Scalar> CsrMatrix<T> {
             rows.resize(w[1] as usize, r as u32);
         }
         CooMatrix::from_sorted_parts(self.n_rows, self.n_cols, rows, self.col_idx, self.vals)
+    }
+
+    /// The structure alone: the row pointers and column indices, reusing
+    /// this matrix's arrays.
+    pub(crate) fn into_pattern(self) -> PatternCsr {
+        PatternCsr::from_parts_unchecked(self.n_rows, self.n_cols, self.row_ptr, self.col_idx)
     }
 
     /// Transpose via COO.

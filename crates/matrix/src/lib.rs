@@ -62,5 +62,5 @@ pub use scalar::{Precision, Scalar};
 pub use spgemm::{SpgemmOperand, SpgemmSymbolic, SPGEMM_SAMPLE_CAP};
 pub use structure::{
     CooStructure, Csr5Structure, CsrStructure, EllStructure, FormatStructure, HybStructure,
-    RowStats, StructureScratch,
+    PatternCsr, RowStats, StructureScratch,
 };

@@ -320,12 +320,7 @@ mod tests {
     }
 
     fn view(csr: &CsrMatrix<f64>) -> CsrStructure<'_> {
-        CsrStructure {
-            n_rows: csr.n_rows(),
-            n_cols: csr.n_cols(),
-            row_ptr: csr.row_ptr(),
-            col_idx: csr.col_idx(),
-        }
+        CsrStructure::from(csr)
     }
 
     /// Brute-force oracle: per-row flops and exact output columns.

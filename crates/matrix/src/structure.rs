@@ -161,7 +161,7 @@ pub struct CooStructure<'a> {
 }
 
 /// CSR structure: the row pointer and column indices, borrowed directly.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsrStructure<'a> {
     /// Number of rows.
     pub n_rows: usize,
@@ -171,6 +171,63 @@ pub struct CsrStructure<'a> {
     pub row_ptr: &'a [u32],
     /// Column indices, row-contiguous.
     pub col_idx: &'a [u32],
+}
+
+impl<'a, T: Scalar> From<&'a CsrMatrix<T>> for CsrStructure<'a> {
+    fn from(csr: &'a CsrMatrix<T>) -> CsrStructure<'a> {
+        CsrStructure {
+            n_rows: csr.n_rows(),
+            n_cols: csr.n_cols(),
+            row_ptr: csr.row_ptr(),
+            col_idx: csr.col_idx(),
+        }
+    }
+}
+
+/// An owned CSR structure: row pointers and column indices, no values.
+/// [`crate::mm::read_matrix_market_structure`] reads one for callers that
+/// need only the structure, such as feature extraction.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PatternCsr {
+    n_rows: usize,
+    n_cols: usize,
+    row_ptr: Vec<u32>,
+    col_idx: Vec<u32>,
+}
+
+impl PatternCsr {
+    /// Build from parts known to be a valid CSR structure.
+    pub(crate) fn from_parts_unchecked(
+        n_rows: usize,
+        n_cols: usize,
+        row_ptr: Vec<u32>,
+        col_idx: Vec<u32>,
+    ) -> PatternCsr {
+        debug_assert_eq!(row_ptr.len(), n_rows + 1);
+        debug_assert_eq!(row_ptr.last().copied(), Some(col_idx.len() as u32));
+        PatternCsr {
+            n_rows,
+            n_cols,
+            row_ptr,
+            col_idx,
+        }
+    }
+
+    /// The borrowed view.
+    pub fn structure(&self) -> CsrStructure<'_> {
+        self.into()
+    }
+}
+
+impl<'a> From<&'a PatternCsr> for CsrStructure<'a> {
+    fn from(p: &'a PatternCsr) -> CsrStructure<'a> {
+        CsrStructure {
+            n_rows: p.n_rows,
+            n_cols: p.n_cols,
+            row_ptr: &p.row_ptr,
+            col_idx: &p.col_idx,
+        }
+    }
 }
 
 /// ELL structure: the padded column-major column plane (padding slots hold

@@ -13,7 +13,7 @@ use std::io::{BufRead, BufReader, Read};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use spmv_matrix::{mm, CooMatrix, MatrixError, Result, Scalar, TripletBuilder};
+use spmv_matrix::{mm, CooMatrix, CsrStructure, MatrixError, Result, Scalar, TripletBuilder};
 
 /// Value field of the MatrixMarket header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,6 +229,23 @@ pub fn read_reference<T: Scalar, R: Read>(reader: R) -> Result<CooMatrix<T>> {
 fn assert_agree(body: &[u8]) {
     agree::<f64>(body);
     agree::<f32>(body);
+    structure_agrees(body);
+}
+
+/// The structure reader must give the f64 reader's row pointers and
+/// column indices, or the same error text, line number included.
+fn structure_agrees(body: &[u8]) {
+    let shown = String::from_utf8_lossy(body);
+    match (
+        mm::read_matrix_market_csr::<f64>(body),
+        mm::read_matrix_market_structure(body),
+    ) {
+        (Ok(csr), Ok(pattern)) => {
+            assert_eq!(CsrStructure::from(&csr), pattern.structure(), "{shown:?}")
+        }
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{shown:?}"),
+        (a, b) => panic!("value and structure readers disagree for {shown:?}: {a:?} vs {b:?}"),
+    }
 }
 
 fn agree<T: Scalar>(body: &[u8]) {

@@ -304,12 +304,7 @@ proptest! {
     ) {
         use spmv_matrix::{CsrStructure, SpgemmOperand, SpgemmSymbolic, StructureScratch};
         let csr = build(r, c, &entries);
-        let view = CsrStructure {
-            n_rows: csr.n_rows(),
-            n_cols: csr.n_cols(),
-            row_ptr: csr.row_ptr(),
-            col_idx: csr.col_idx(),
-        };
+        let view = CsrStructure::from(&csr);
         let mut fresh = StructureScratch::new();
         let mut dirty = StructureScratch::new();
         // Dirty the second scratch with the *other* operand first.

@@ -244,13 +244,15 @@ impl Conn {
         }
         let _span = spmv_observe::span("serve/request");
         spmv_observe::counter("serve.requests", 1);
-        let (status, reason, content_type, extra, body) = crate::route(shared, request);
+        let ((status, reason, content_type, extra, body), panicked) =
+            crate::guarded(|| crate::route(shared, request));
         crate::count_status(status);
         self.served += 1;
         if self.served > 1 {
             stats.reused.fetch_add(1, Ordering::Relaxed);
         }
-        let keep = request.wants_keep_alive()
+        let keep = !panicked
+            && request.wants_keep_alive()
             && self.served < shared.config.keep_alive_max_requests as u64
             && !shared.stop.load(Ordering::SeqCst);
         render_response_into(

@@ -308,8 +308,30 @@ type Routed = (
     Vec<u8>,
 );
 
+/// Run a route handler, turning a panic into a typed `500` so that one bad
+/// request cannot take down its shard and every connection the shard
+/// holds. The flag is set when the handler panicked; the caller then
+/// closes the connection. Shared state stays usable after a panic: the
+/// server's locks recover from poisoning, and a cache reservation dropped
+/// while unwinding frees its slot.
+fn guarded(handler: impl FnOnce() -> Routed) -> (Routed, bool) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)) {
+        Ok(routed) => (routed, false),
+        Err(_) => {
+            spmv_observe::counter("serve.panics", 1);
+            let body = error_body("internal", "the request handler panicked");
+            (
+                (500, "Internal Server Error", "application/json", &[], body),
+                true,
+            )
+        }
+    }
+}
+
 fn route(shared: &Shared, request: &Request) -> Routed {
     match (request.method.as_str(), request.target.as_str()) {
+        #[cfg(test)]
+        ("POST", "/test/panic") => panic!("a handler bug"),
         ("GET", "/healthz") => healthz(shared),
         ("GET", "/statz") => statz(shared),
         ("POST", "/v1/recommend") => recommend(shared, &request.body),
@@ -501,11 +523,13 @@ fn recommend_matrix(shared: &Shared, body: &[u8]) -> Routed {
     match lookup(shared, key) {
         Lookup::Hit(bytes) => ok_json(bytes.to_vec()),
         Lookup::Miss(reservation) => {
+            // Only the structure answers a recommend request, so the
+            // values are classified as zero or not and never converted.
             let parsed = {
                 let _span = spmv_observe::span("serve/request/parse");
-                spmv_matrix::mm::read_matrix_market_csr::<f64>(body)
+                spmv_matrix::mm::read_matrix_market_structure(body)
             };
-            let matrix = match parsed {
+            let pattern = match parsed {
                 Ok(m) => m,
                 Err(e) => {
                     // Reservation dropped: the key stays uncached and any
@@ -521,10 +545,13 @@ fn recommend_matrix(shared: &Shared, body: &[u8]) -> Routed {
             };
             let response = {
                 let _span = spmv_observe::span("serve/request/model");
-                snapshot.handle.recommend_csr(&matrix)
+                snapshot.handle.recommend_structure(pattern.structure())
             };
             online_observe(shared, &snapshot, &response, |candidate| {
-                candidate.handle.recommend_csr(&matrix).format
+                candidate
+                    .handle
+                    .recommend_structure(pattern.structure())
+                    .format
             });
             let mut bytes = response.to_json().into_bytes();
             bytes.push(b'\n');
@@ -681,5 +708,67 @@ fn feedback(shared: &Shared, body: &[u8]) -> Routed {
             b"{\"status\":\"accepted\"}\n".to_vec(),
         ),
         Err(e) => bad(&e.to_string()),
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    use super::*;
+
+    /// One request on its own connection; the whole response.
+    fn exchange(addr: SocketAddr, request: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_a_typed_500() {
+        let ((status, _, content_type, _, body), panicked) = guarded(|| panic!("a handler bug"));
+        assert!(panicked);
+        assert_eq!((status, content_type), (500, "application/json"));
+        assert_eq!(
+            String::from_utf8(body).unwrap(),
+            "{\"error\":\"internal\",\"message\":\"the request handler panicked\"}\n"
+        );
+        let (routed, panicked) = guarded(|| ok_json(b"{}".to_vec()));
+        assert!(!panicked);
+        assert_eq!(routed.0, 200);
+    }
+
+    #[test]
+    fn a_shard_serves_on_after_a_handler_panics() {
+        // One shard: if the panic killed it, nothing would answer /healthz.
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::spawn(config, AdvisorHandle::heuristic()).unwrap();
+        let panicked = exchange(
+            server.addr(),
+            "POST /test/panic HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+        );
+        assert!(
+            panicked.starts_with("HTTP/1.1 500 Internal Server Error\r\n"),
+            "{panicked}"
+        );
+        assert!(panicked.contains("Connection: close\r\n"), "{panicked}");
+        assert!(panicked
+            .ends_with("{\"error\":\"internal\",\"message\":\"the request handler panicked\"}\n"));
+        let health = exchange(
+            server.addr(),
+            "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        );
+        assert!(health.starts_with("HTTP/1.1 200 OK\r\n"), "{health}");
+        server.shutdown();
     }
 }

@@ -113,12 +113,7 @@ fn warm_scratch_profiles_every_format_with_zero_allocations() {
     // warm, the exact-flops pass, the sampled compression estimate, and
     // every dataflow's cost prediction are counting passes over borrowed
     // index slices — zero heap blocks for both operands.
-    let view = CsrStructure {
-        n_rows: csr.n_rows(),
-        n_cols: csr.n_cols(),
-        row_ptr: csr.row_ptr(),
-        col_idx: csr.col_idx(),
-    };
+    let view = CsrStructure::from(&csr);
     for operand in [SpgemmOperand::AA, SpgemmOperand::AAt] {
         std::hint::black_box(SpgemmSymbolic::analyze(view, operand, 7, &mut scratch));
     }
@@ -177,4 +172,17 @@ fn matrix_market_reader_allocations_do_not_grow_with_the_line_count() {
         // list of a symmetric file.
         assert!(base <= 12, "{symmetry}: {base} allocations");
     }
+}
+
+#[test]
+fn matrix_market_structure_reader_allocations_do_not_grow_with_the_line_count() {
+    let read =
+        |body: &[u8]| allocations(|| mm::read_matrix_market_structure(body).expect("valid body"));
+    let base = read(&mm_body("general", 10_000, 0));
+    assert_eq!(read(&mm_body("general", 10_000, 3)), base, "40k lines");
+    assert_eq!(read(&mm_body("general", 1_000, 0)), base, "1k entries");
+    // Four for the header's tokens; three for the builder's coordinate
+    // arrays and row pointers. No value plane, and the body's row-major
+    // order needs no sort keys.
+    assert!(base <= 7, "{base} allocations");
 }
