@@ -15,11 +15,11 @@
 //! root; regenerate with `cargo bench --bench labeling`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use spmv_core::labels::{measure_matrix_outcomes_in, measure_matrix_outcomes_reference};
+use spmv_core::labels::{measure_matrix_op_outcomes_in, measure_matrix_outcomes_reference};
 use spmv_core::{FaultPlan, LabeledCorpus, MatrixRecord};
 use spmv_corpus::{CorpusScale, GenKind, MatrixSpec, SyntheticSuite};
 use spmv_features::{extract, extract_with_stats};
-use spmv_gpusim::Simulator;
+use spmv_gpusim::{GpuArch, Simulator, SpOp};
 use spmv_matrix::{CsrMatrix, RowStats, StructureScratch};
 
 fn uniform(nnz: usize, seed: u64) -> CsrMatrix<f64> {
@@ -57,8 +57,17 @@ fn bench_label_one_matrix(c: &mut Criterion) {
             b.iter(|| {
                 let stats = RowStats::of(m.row_ptr());
                 let f = extract_with_stats(m, &stats);
-                let out =
-                    measure_matrix_outcomes_in(m, &stats, &mut scratch, &sim, 7, "bench", &plan);
+                let out = measure_matrix_op_outcomes_in(
+                    m,
+                    &stats,
+                    &mut scratch,
+                    &sim,
+                    SpOp::Spmv,
+                    &GpuArch::PAPER_MACHINES,
+                    7,
+                    "bench",
+                    &plan,
+                );
                 (f, out)
             });
         });

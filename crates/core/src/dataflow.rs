@@ -288,7 +288,7 @@ impl DataflowAdvisor {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::env::{ArchSet, ScenarioOp};
+    use crate::env::{ArchSet, LabelEnvironment, ScenarioOp};
     use crate::faults::FaultPlan;
     use spmv_corpus::{CorpusScale, SyntheticSuite};
 
@@ -299,7 +299,12 @@ mod tests {
         };
         let suite = SyntheticSuite::sample(CorpusScale::Tiny, seed);
         (
-            LabeledCorpus::collect_scenario_with(&suite, sc, 4, &FaultPlan::none()),
+            LabeledCorpus::collect_env(
+                &suite,
+                LabelEnvironment::Scenario(sc),
+                4,
+                &FaultPlan::none(),
+            ),
             sc,
         )
     }

@@ -323,7 +323,7 @@ mod tests {
         // degrade the handle (not misload), and the reason must name the
         // kind gate so `/healthz`-style disclosure says what happened.
         use crate::dataflow::DataflowAdvisor;
-        use crate::env::{ArchSet, Env, Scenario, ScenarioOp};
+        use crate::env::{ArchSet, Env, LabelEnvironment, Scenario, ScenarioOp};
         use crate::faults::FaultPlan;
         use spmv_corpus::{CorpusScale, SyntheticSuite};
 
@@ -332,8 +332,12 @@ mod tests {
             archs: ArchSet::PaperGpus,
         };
         let suite = SyntheticSuite::sample(CorpusScale::Tiny, 47);
-        let corpus =
-            crate::labels::LabeledCorpus::collect_scenario_with(&suite, sc, 2, &FaultPlan::none());
+        let corpus = crate::labels::LabeledCorpus::collect_env(
+            &suite,
+            LabelEnvironment::Scenario(sc),
+            2,
+            &FaultPlan::none(),
+        );
         let advisor = DataflowAdvisor::train_for_scenario(
             &corpus,
             sc,

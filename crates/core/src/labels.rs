@@ -16,14 +16,17 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 use spmv_corpus::SyntheticSuite;
 use spmv_features::{extract_with_stats, FeatureVector};
-use spmv_gpusim::{cell_seed, GpuArch, KernelProfile, ProfileCache, Simulator};
+use spmv_gpusim::{cell_seed, GpuArch, KernelProfile, ProfileCache, Simulator, SpOp};
 use spmv_matrix::{
-    CsrMatrix, Format, FormatStructure, Precision, RowStats, SparseMatrix, StructureScratch,
+    CsrMatrix, Format, FormatStructure, Precision, RowStats, SparseMatrix, SpgemmOperand,
+    StructureScratch,
 };
 use spmv_ml::Executor;
 
-use crate::env::{Env, EnvSpec};
+use crate::env::{Env, EnvSpec, LabelEnvironment};
 use crate::faults::{FaultPlan, FaultSite};
+use crate::native::NativeMeasurer;
+use crate::scenario::SpgemmMeasurer;
 
 /// Number of formats (indexing follows [`Format::ALL`]).
 pub const N_FORMATS: usize = 6;
@@ -232,26 +235,42 @@ pub fn measure_matrix_outcomes(
 ) -> (CellTimes, Vec<LabelFailure>) {
     let stats = RowStats::of(csr.row_ptr());
     let mut scratch = StructureScratch::new();
-    measure_matrix_outcomes_in(csr, &stats, &mut scratch, sim, noise_seed, name, plan)
+    measure_matrix_op_outcomes_in(
+        csr,
+        &stats,
+        &mut scratch,
+        sim,
+        SpOp::Spmv,
+        &GpuArch::PAPER_MACHINES,
+        noise_seed,
+        name,
+        plan,
+    )
 }
 
-/// The structural-profiling hot path: measure every (format, env) cell of
-/// one matrix **without materializing any value plane**. Each format's
-/// index layout is derived into `scratch` as a value-free
+/// The structural-profiling hot path: measure every (format, arch,
+/// precision) cell of one matrix under a sparse operation `op` over an
+/// explicit machine pair, **without materializing any value plane**. Each
+/// format's index layout is derived into `scratch` as a value-free
 /// [`FormatStructure`] and profiled via [`KernelProfile::of_structure`];
 /// `stats` is the shared single-pass row analysis (the same one that feeds
 /// feature extraction), so `row_ptr` is never re-walked per format.
 ///
-/// Byte-identical to [`measure_matrix_outcomes_reference`] (the retired
-/// value-carrying path, kept as the golden-test oracle) by construction:
-/// the structural views are bit-equal to the conversions' index arrays and
-/// both paths run the same profiling code over them.
+/// With `op = SpOp::Spmv` over [`GpuArch::PAPER_MACHINES`] this is the
+/// simulator labeling path, byte-identical to
+/// [`measure_matrix_outcomes_reference`] (the retired value-carrying path,
+/// kept as the golden-test oracle) by construction: the structural views
+/// are bit-equal to the conversions' index arrays, both paths run the same
+/// profiling code over them, and [`Simulator::measure_profile_op`]
+/// reproduces [`Simulator::measure_profile`] bit for bit under SpMV.
 #[allow(clippy::too_many_arguments)]
-pub fn measure_matrix_outcomes_in(
+pub fn measure_matrix_op_outcomes_in(
     csr: &CsrMatrix<f64>,
     stats: &RowStats,
     scratch: &mut StructureScratch,
     sim: &Simulator,
+    op: SpOp,
+    machines: &[GpuArch; 2],
     noise_seed: u64,
     name: &str,
     plan: &FaultPlan,
@@ -285,7 +304,7 @@ pub fn measure_matrix_outcomes_in(
                 continue;
             }
         };
-        for (ai, arch) in GpuArch::PAPER_MACHINES.iter().enumerate() {
+        for (ai, arch) in machines.iter().enumerate() {
             for prec in Precision::ALL {
                 let env = Env {
                     arch_idx: ai,
@@ -301,8 +320,11 @@ pub fn measure_matrix_outcomes_in(
                     });
                     continue;
                 }
+                // The op is deliberately not folded into the seed: at the
+                // identity points (SpMM k=1, solver iters=1) the noise
+                // stream must match the plain-SpMV stream bit-for-bit.
                 let seed = cell_seed(noise_seed, fmt, arch, prec);
-                let meas = sim.measure_profile(&profile, arch, prec, seed);
+                let meas = sim.measure_profile_op(&profile, arch, prec, op, seed);
                 times[ai][prec.idx()][fmt.class_id()] = Some(meas.time_s);
                 spmv_observe::counter("labeling.cells_measured", 1);
             }
@@ -373,12 +395,11 @@ pub fn measure_matrix_outcomes_reference(
     (times, failures)
 }
 
-/// The feature block of one record — the shared front half of every
-/// collector's worker body (simulator, native, scenario): injected or
+/// The feature block of one record, in every label environment: injected or
 /// organic extraction failures degrade to a zeroed vector plus a
 /// matrix-wide [`LabelFailure`], and the finite guard keeps NaN/Inf out
 /// of every training set.
-pub(crate) fn worker_features(
+fn worker_features(
     spec_name: &str,
     csr: &CsrMatrix<f64>,
     stats: &RowStats,
@@ -407,8 +428,8 @@ pub(crate) fn worker_features(
 }
 
 /// The degraded all-failed record a contained worker panic leaves, so
-/// the corpus stays aligned with the suite (shared by every collector).
-pub(crate) fn panic_record(suite: &SyntheticSuite, i: usize, message: &str) -> MatrixRecord {
+/// the corpus stays aligned with the suite.
+fn panic_record(suite: &SyntheticSuite, i: usize, message: &str) -> MatrixRecord {
     spmv_observe::counter("labeling.worker_panics", 1);
     MatrixRecord::new(
         suite,
@@ -424,51 +445,113 @@ pub(crate) fn panic_record(suite: &SyntheticSuite, i: usize, message: &str) -> M
     )
 }
 
-impl LabeledCorpus {
-    /// Label every matrix of `suite`, running `threads` workers.
-    pub fn collect(suite: &SyntheticSuite, sim: &Simulator, threads: usize) -> LabeledCorpus {
-        Self::collect_with(suite, sim, threads, &FaultPlan::none())
+/// The per-matrix step that differs between labeling environments; the
+/// rest of a collection (generation, row analysis, features, failure
+/// accounting, panic containment, the corpus envelope) is shared in
+/// [`collect_by`].
+pub(crate) trait Measurer: Sync {
+    /// Buffers one worker reuses across every matrix it labels.
+    type Scratch: Default;
+
+    /// Open this environment's collect span over `n` matrices.
+    fn collect_span(&self, n: usize) -> spmv_observe::Span;
+
+    /// Measure every cell of one matrix: times, failures, and the record's
+    /// op-specific extra features (empty outside SpGEMM).
+    fn measure(
+        &self,
+        csr: &CsrMatrix<f64>,
+        stats: &RowStats,
+        scratch: &mut Self::Scratch,
+        noise_seed: u64,
+        name: &str,
+        plan: &FaultPlan,
+    ) -> (CellTimes, Vec<LabelFailure>, Vec<f64>);
+}
+
+/// The op-aware simulator: plain SpMV over the paper GPUs for
+/// [`LabeledCorpus::collect_with`], any SpMV-family scenario cell otherwise.
+pub(crate) struct OpMeasurer<'a> {
+    pub(crate) sim: &'a Simulator,
+    pub(crate) op: SpOp,
+    pub(crate) machines: &'a [GpuArch; 2],
+    /// Opens `labeling/collect` or `labeling/collect-scenario`.
+    pub(crate) span: fn(usize) -> spmv_observe::Span,
+}
+
+impl Measurer for OpMeasurer<'_> {
+    type Scratch = StructureScratch;
+
+    fn collect_span(&self, n: usize) -> spmv_observe::Span {
+        (self.span)(n)
     }
 
-    /// [`LabeledCorpus::collect`] under a fault plan. Worker panics —
-    /// injected or genuine — are contained per matrix via the executor's
-    /// `catch_unwind` path and degrade to a record whose failure cell
-    /// carries the panic message; the rest of the corpus labels normally
-    /// and no lock is ever poisoned. With `FaultPlan::none()` the result
-    /// is identical to a plain `collect`.
-    pub fn collect_with(
-        suite: &SyntheticSuite,
-        sim: &Simulator,
-        threads: usize,
+    fn measure(
+        &self,
+        csr: &CsrMatrix<f64>,
+        stats: &RowStats,
+        scratch: &mut StructureScratch,
+        noise_seed: u64,
+        name: &str,
         plan: &FaultPlan,
-    ) -> LabeledCorpus {
-        let n = suite.specs.len();
-        let _collect_span = spmv_observe::span!("labeling/collect", matrices = n as u64);
-        let exec = Executor::new(threads.clamp(1, n.max(1)));
-        // One structure scratch per worker, reused across every matrix the
-        // worker labels: in steady state the per-matrix loop allocates
-        // (beyond the generated CSR itself) only the record it returns.
-        let results = exec.try_map_with(n, StructureScratch::new, |scratch, i| {
-            let spec = &suite.specs[i];
-            if plan.should_fail(FaultSite::WorkerPanic, &spec.name) {
-                panic!("{}", FaultPlan::reason(FaultSite::WorkerPanic, &spec.name));
-            }
-            let csr: CsrMatrix<f64> = spec.generate();
-            // Span identity is the static path (not the worker thread), so
-            // the hit count — one per matrix — lands in the deterministic
-            // section while per-worker wall time aggregates in timing.
-            let _matrix_span = spmv_observe::span!("labeling/matrix", nnz = csr.nnz() as u64);
-            // One pass over row_ptr serves ELL width selection, the HYB
-            // threshold, CSR5 tiling, merge setup, AND the row-length
-            // features below.
-            let stats = RowStats::of(csr.row_ptr());
-            let mut failures: Vec<LabelFailure> = Vec::new();
-            let features = worker_features(&spec.name, &csr, &stats, plan, &mut failures);
-            let (times, measure_failures) =
-                measure_matrix_outcomes_in(&csr, &stats, scratch, sim, spec.seed, &spec.name, plan);
-            failures.extend(measure_failures);
-            spmv_observe::counter("labeling.failures", failures.len() as u64);
-            MatrixRecord::new(
+    ) -> (CellTimes, Vec<LabelFailure>, Vec<f64>) {
+        let (times, failures) = measure_matrix_op_outcomes_in(
+            csr,
+            stats,
+            scratch,
+            self.sim,
+            self.op,
+            self.machines,
+            noise_seed,
+            name,
+            plan,
+        );
+        (times, failures, Vec::new())
+    }
+}
+
+/// Label every matrix of `suite` through `measurer`, running `threads`
+/// workers, and record `env_spec` verbatim on the corpus. Worker panics —
+/// injected or genuine — are contained per matrix via the executor's
+/// `catch_unwind` path and degrade to a record whose failure cell carries
+/// the panic message; the rest of the corpus labels normally and no lock
+/// is ever poisoned.
+pub(crate) fn collect_by<M: Measurer>(
+    suite: &SyntheticSuite,
+    measurer: &M,
+    threads: usize,
+    plan: &FaultPlan,
+    env_spec: EnvSpec,
+) -> LabeledCorpus {
+    let n = suite.specs.len();
+    let _collect_span = measurer.collect_span(n);
+    let exec = Executor::new(threads.clamp(1, n.max(1)));
+    // One scratch per worker, reused across every matrix the worker
+    // labels: in steady state the per-matrix loop allocates (beyond the
+    // generated CSR itself) only the record it returns.
+    let results = exec.try_map_with(n, M::Scratch::default, |scratch, i| {
+        let spec = &suite.specs[i];
+        if plan.should_fail(FaultSite::WorkerPanic, &spec.name) {
+            panic!("{}", FaultPlan::reason(FaultSite::WorkerPanic, &spec.name));
+        }
+        let csr: CsrMatrix<f64> = spec.generate();
+        // Span identity is the static path (not the worker thread), so
+        // the hit count — one per matrix — lands in the deterministic
+        // section while per-worker wall time aggregates in timing.
+        let _matrix_span = spmv_observe::span!("labeling/matrix", nnz = csr.nnz() as u64);
+        // One pass over row_ptr serves ELL width selection, the HYB
+        // threshold, CSR5 tiling, merge setup, AND the row-length
+        // features below.
+        let stats = RowStats::of(csr.row_ptr());
+        let mut failures: Vec<LabelFailure> = Vec::new();
+        let features = worker_features(&spec.name, &csr, &stats, plan, &mut failures);
+        let (times, measure_failures, extra) =
+            measurer.measure(&csr, &stats, scratch, spec.seed, &spec.name, plan);
+        failures.extend(measure_failures);
+        spmv_observe::counter("labeling.failures", failures.len() as u64);
+        MatrixRecord {
+            extra,
+            ..MatrixRecord::new(
                 suite,
                 i,
                 (csr.n_rows(), csr.n_cols(), csr.nnz()),
@@ -476,22 +559,81 @@ impl LabeledCorpus {
                 times,
                 failures,
             )
-        });
-        let records = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| match r {
-                Ok(rec) => rec,
-                // Contained worker panic: a degraded all-failed record
-                // keeps the corpus aligned with the suite.
-                Err(p) => panic_record(suite, i, &p.message),
-            })
-            .collect();
-        LabeledCorpus {
-            suite_seed: suite.seed,
-            model_version: spmv_gpusim::MODEL_VERSION,
-            env_spec: EnvSpec::default(),
-            records,
+        }
+    });
+    let records = results
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| match r {
+            Ok(rec) => rec,
+            // Contained worker panic: a degraded all-failed record keeps
+            // the corpus aligned with the suite.
+            Err(p) => panic_record(suite, i, &p.message),
+        })
+        .collect();
+    LabeledCorpus {
+        suite_seed: suite.seed,
+        model_version: spmv_gpusim::MODEL_VERSION,
+        env_spec,
+        records,
+    }
+}
+
+impl LabeledCorpus {
+    /// Label every matrix of `suite`, running `threads` workers.
+    pub fn collect(suite: &SyntheticSuite, sim: &Simulator, threads: usize) -> LabeledCorpus {
+        Self::collect_with(suite, sim, threads, &FaultPlan::none())
+    }
+
+    /// [`LabeledCorpus::collect`] under a fault plan (see [`collect_by`]
+    /// for how failures degrade). With `FaultPlan::none()` the result is
+    /// identical to a plain `collect`.
+    pub fn collect_with(
+        suite: &SyntheticSuite,
+        sim: &Simulator,
+        threads: usize,
+        plan: &FaultPlan,
+    ) -> LabeledCorpus {
+        let measurer = OpMeasurer {
+            sim,
+            op: SpOp::Spmv,
+            machines: &GpuArch::PAPER_MACHINES,
+            span: |n| spmv_observe::span!("labeling/collect", matrices = n as u64),
+        };
+        collect_by(suite, &measurer, threads, plan, EnvSpec::default())
+    }
+
+    /// Label every matrix of `suite` in a label environment under a fault
+    /// plan: the default simulator, the native CPU backend, or one scenario
+    /// cell (SpMV-family cells through the op-aware simulator, SpGEMM cells
+    /// through the symbolic-phase dataflow models).
+    pub fn collect_env(
+        suite: &SyntheticSuite,
+        env: LabelEnvironment,
+        threads: usize,
+        plan: &FaultPlan,
+    ) -> LabeledCorpus {
+        let sim = Simulator::default();
+        match env {
+            LabelEnvironment::Simulator => Self::collect_with(suite, &sim, threads, plan),
+            LabelEnvironment::CpuNative | LabelEnvironment::CpuSynthetic { .. } => {
+                collect_by(suite, &NativeMeasurer { env }, threads, plan, env.spec())
+            }
+            LabelEnvironment::Scenario(sc) => match sc.op.spmv_op() {
+                Some(op) => {
+                    Self::collect_op_with(suite, &sim, op, sc.machines(), threads, plan, env.spec())
+                }
+                // Non-SpMV cells are SpGEMM by construction of ScenarioOp;
+                // degrade to A·A if a future op forgets its operand.
+                None => {
+                    let measurer = SpgemmMeasurer {
+                        sim: &sim,
+                        operand: sc.op.spgemm_operand().unwrap_or(SpgemmOperand::AA),
+                        machines: sc.machines(),
+                    };
+                    collect_by(suite, &measurer, threads, plan, env.spec())
+                }
+            },
         }
     }
 
@@ -515,27 +657,29 @@ impl LabeledCorpus {
         serde_json::from_reader(std::io::BufReader::new(file)).map_err(std::io::Error::other)
     }
 
-    /// Load from cache if present, else collect and cache.
+    /// Load `env`'s corpus from cache if it matches (suite seed, length,
+    /// and the environment descriptor, so one environment's cache is never
+    /// silently reused by another), else collect and cache. The gpusim
+    /// model version is checked only where the labels come from the
+    /// simulator: native labels do not depend on it.
     pub fn load_or_collect(
         suite: &SyntheticSuite,
-        sim: &Simulator,
+        env: LabelEnvironment,
         threads: usize,
         cache: &Path,
     ) -> LabeledCorpus {
-        if cache.exists() {
-            if let Ok(c) = Self::load(cache) {
-                if c.suite_seed == suite.seed
-                    && c.records.len() == suite.len()
-                    && c.model_version == spmv_gpusim::MODEL_VERSION
-                    && c.env_spec.is_simulator()
-                {
-                    spmv_observe::counter("labeling.cache_hits", 1);
-                    return c;
-                }
+        if let Ok(c) = Self::load(cache) {
+            if c.suite_seed == suite.seed
+                && c.records.len() == suite.len()
+                && c.env_spec == env.spec()
+                && (env.exec_mode().is_some() || c.model_version == spmv_gpusim::MODEL_VERSION)
+            {
+                spmv_observe::counter("labeling.cache_hits", 1);
+                return c;
             }
         }
         spmv_observe::counter("labeling.cache_misses", 1);
-        let c = Self::collect(suite, sim, threads);
+        let c = Self::collect_env(suite, env, threads, &FaultPlan::none());
         if let Some(dir) = cache.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
@@ -832,6 +976,28 @@ mod tests {
         assert!(!json.contains("env_spec"), "simulator cache drifted");
         let back: LabeledCorpus = serde_json::from_str(&json).unwrap();
         assert!(back.env_spec.is_simulator());
+    }
+
+    #[test]
+    fn cache_checks_the_model_version_only_for_simulator_labels() {
+        // Native labels never touch the simulator, so a cache written under
+        // another gpusim model version is still theirs; scenario labels are
+        // simulator output and must be re-collected.
+        let suite = SyntheticSuite::sample(CorpusScale::Tiny, 6);
+        let dir = std::env::temp_dir().join("spmv_core_model_version_cache_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let stale = spmv_gpusim::MODEL_VERSION + 1;
+        let native = LabelEnvironment::CpuSynthetic { seed: 17 };
+        let scenario = LabelEnvironment::parse("gpu-spmm4").unwrap();
+        for (env, reused) in [(native, true), (scenario, false)] {
+            let path = dir.join(format!("labels.{}.json", env.tag()));
+            let mut c = LabeledCorpus::collect_env(&suite, env, 2, &FaultPlan::none());
+            c.model_version = stale;
+            c.save(&path).unwrap();
+            let back = LabeledCorpus::load_or_collect(&suite, env, 2, &path);
+            assert_eq!(back.model_version == stale, reused, "{}", env.tag());
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

@@ -64,8 +64,9 @@ pub use indirect::{
     choice_within_tolerance, evaluate_indirect, indirect_accuracy, ratio_accuracy, IndirectOutcome,
 };
 pub use labels::{
-    measure_matrix, measure_matrix_outcomes, measure_matrix_outcomes_reference, CellTimes,
-    LabelFailure, LabelOutcome, LabeledCorpus, MatrixRecord, N_FORMATS,
+    measure_matrix, measure_matrix_op_outcomes_in, measure_matrix_outcomes,
+    measure_matrix_outcomes_reference, CellTimes, LabelFailure, LabelOutcome, LabeledCorpus,
+    MatrixRecord, N_FORMATS,
 };
 pub use native::{measure_matrix_native_outcomes_in, NativeScratch};
 pub use observe::TraceSession;
@@ -73,7 +74,7 @@ pub use online::{
     FeedbackError, FeedbackEvent, FeedbackOutcome, Generation, OnlineAdvisor, OnlineConfig,
     OnlineStatus, Reservoir, ShadowVerdict,
 };
-pub use scenario::{measure_matrix_op_outcomes_in, measure_matrix_spgemm_outcomes_in};
+pub use scenario::measure_matrix_spgemm_outcomes_in;
 
 pub use regress::{
     evaluate_regressor, train_time_predictor, RegModelKind, RegressOutcome, TimePredictor,

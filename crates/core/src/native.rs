@@ -8,25 +8,21 @@
 //! `spmv-exec` kernels through the calibrated [`Harness`]
 //! ([`spmv_exec::ExecMode::Measured`]) or from the deterministic
 //! [`spmv_exec::synthetic_time`] stand-in
-//! ([`spmv_exec::ExecMode::Synthetic`], CI replay). Fault sites,
-//! per-record failure cells, worker-panic containment, and the cache
-//! protocol all mirror the simulator path, so every downstream consumer
-//! (tasks, advisors, experiments) works on a native corpus unchanged.
+//! ([`spmv_exec::ExecMode::Synthetic`], CI replay). Fault sites are keyed
+//! as on the simulator path. Collection, worker-panic containment and the
+//! cache check are the simulator's own: this module supplies only the
+//! per-matrix measure, as a [`Measurer`] for the shared loop in
+//! [`crate::labels`], so every downstream consumer (tasks, advisors,
+//! experiments) works on a native corpus unchanged.
 
-use std::path::Path;
-
-use spmv_corpus::SyntheticSuite;
 use spmv_exec::{
     synthetic_time, ExecMode, ExecScratch, Harness, MeasureConfig, PreparedMatrix, SimdKernels,
 };
 use spmv_matrix::{CsrMatrix, Format, MatrixError, Precision, RowStats, Scalar};
-use spmv_ml::Executor;
 
 use crate::env::{Env, LabelEnvironment, CPU_ARCH_LABELS};
 use crate::faults::{FaultPlan, FaultSite};
-use crate::labels::{
-    panic_record, worker_features, CellTimes, LabelFailure, LabeledCorpus, MatrixRecord, N_FORMATS,
-};
+use crate::labels::{CellTimes, LabelFailure, Measurer, N_FORMATS};
 
 /// Per-worker scratch for native labeling: the exec buffers for both
 /// precisions plus the `x`/`y` product vectors, all reused across every
@@ -127,7 +123,7 @@ fn measure_format_prec<T: SimdKernels>(
 
 /// Measure every (format, arch-tier, precision) cell of one matrix on the
 /// native CPU backend — the counterpart of
-/// [`crate::labels::measure_matrix_outcomes_in`], with the same fault-site
+/// [`crate::labels::measure_matrix_op_outcomes_in`], with the same fault-site
 /// keying (`{name}/{fmt}` for conversion, `{name}/{fmt}/{arch}/{prec}`
 /// for measurement) so existing fault plans replay against either
 /// backend.
@@ -240,106 +236,31 @@ pub fn measure_matrix_native_outcomes_in(
     (times, failures)
 }
 
-impl LabeledCorpus {
-    /// Label every matrix of `suite` on the native CPU backend.
-    pub fn collect_native(
-        suite: &SyntheticSuite,
-        env: LabelEnvironment,
-        threads: usize,
-    ) -> LabeledCorpus {
-        Self::collect_native_with(suite, env, threads, &FaultPlan::none())
+/// The native CPU backend as a [`Measurer`]; `env` is
+/// [`LabelEnvironment::CpuNative`] or [`LabelEnvironment::CpuSynthetic`].
+pub(crate) struct NativeMeasurer {
+    pub(crate) env: LabelEnvironment,
+}
+
+impl Measurer for NativeMeasurer {
+    type Scratch = NativeScratch;
+
+    fn collect_span(&self, n: usize) -> spmv_observe::Span {
+        spmv_observe::span!("labeling/collect-native", matrices = n as u64)
     }
 
-    /// [`LabeledCorpus::collect_native`] under a fault plan, mirroring
-    /// [`LabeledCorpus::collect_with`]: per-worker scratch reuse, panic
-    /// containment, degraded records. Non-native environments delegate to
-    /// their own collectors — [`LabelEnvironment::Simulator`] to the
-    /// simulator path, [`LabelEnvironment::Scenario`] to the op-aware
-    /// scenario path — so callers can dispatch on the environment without
-    /// special-casing.
-    pub fn collect_native_with(
-        suite: &SyntheticSuite,
-        env: LabelEnvironment,
-        threads: usize,
+    fn measure(
+        &self,
+        csr: &CsrMatrix<f64>,
+        stats: &RowStats,
+        scratch: &mut NativeScratch,
+        _noise_seed: u64,
+        name: &str,
         plan: &FaultPlan,
-    ) -> LabeledCorpus {
-        if let Some(sc) = env.scenario() {
-            return Self::collect_scenario_with(suite, sc, threads, plan);
-        }
-        if env.exec_mode().is_none() {
-            return Self::collect_with(suite, &spmv_gpusim::Simulator::default(), threads, plan);
-        }
-        let n = suite.specs.len();
-        let _collect_span = spmv_observe::span!("labeling/collect-native", matrices = n as u64);
-        let exec = Executor::new(threads.clamp(1, n.max(1)));
-        let results = exec.try_map_with(n, NativeScratch::new, |scratch, i| {
-            let spec = &suite.specs[i];
-            if plan.should_fail(FaultSite::WorkerPanic, &spec.name) {
-                panic!("{}", FaultPlan::reason(FaultSite::WorkerPanic, &spec.name));
-            }
-            let csr: CsrMatrix<f64> = spec.generate();
-            let _matrix_span = spmv_observe::span!("labeling/matrix", nnz = csr.nnz() as u64);
-            let stats = RowStats::of(csr.row_ptr());
-            let mut failures: Vec<LabelFailure> = Vec::new();
-            let features = worker_features(&spec.name, &csr, &stats, plan, &mut failures);
-            let (times, measure_failures) =
-                measure_matrix_native_outcomes_in(&csr, &stats, scratch, env, &spec.name, plan);
-            failures.extend(measure_failures);
-            spmv_observe::counter("labeling.failures", failures.len() as u64);
-            MatrixRecord::new(
-                suite,
-                i,
-                (csr.n_rows(), csr.n_cols(), csr.nnz()),
-                features,
-                times,
-                failures,
-            )
-        });
-        let records = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| match r {
-                Ok(rec) => rec,
-                Err(p) => panic_record(suite, i, &p.message),
-            })
-            .collect();
-        LabeledCorpus {
-            suite_seed: suite.seed,
-            model_version: spmv_gpusim::MODEL_VERSION,
-            env_spec: env.spec(),
-            records,
-        }
-    }
-
-    /// Load a native corpus from cache if it matches (suite seed, length,
-    /// and — crucially — the environment descriptor, so a simulator or
-    /// differently-seeded synthetic cache is never silently reused), else
-    /// collect and cache. The gpusim model version is deliberately *not*
-    /// checked: native labels do not depend on the simulator.
-    pub fn load_or_collect_native(
-        suite: &SyntheticSuite,
-        env: LabelEnvironment,
-        threads: usize,
-        cache: &Path,
-    ) -> LabeledCorpus {
-        if cache.exists() {
-            if let Ok(c) = Self::load(cache) {
-                if c.suite_seed == suite.seed
-                    && c.records.len() == suite.len()
-                    && c.env_spec == env.spec()
-                {
-                    spmv_observe::counter("labeling.cache_hits", 1);
-                    return c;
-                }
-            }
-        }
-        spmv_observe::counter("labeling.cache_misses", 1);
-        let c = Self::collect_native(suite, env, threads);
-        if let Some(dir) = cache.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let _ = c.save(cache);
-        c
+    ) -> (CellTimes, Vec<LabelFailure>, Vec<f64>) {
+        let (times, failures) =
+            measure_matrix_native_outcomes_in(csr, stats, scratch, self.env, name, plan);
+        (times, failures, Vec::new())
     }
 }
 
@@ -347,15 +268,16 @@ impl LabeledCorpus {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use spmv_corpus::CorpusScale;
+    use crate::labels::{LabeledCorpus, MatrixRecord};
+    use spmv_corpus::{CorpusScale, SyntheticSuite};
 
     const SYNTH: LabelEnvironment = LabelEnvironment::CpuSynthetic { seed: 17 };
 
     #[test]
     fn synthetic_collection_is_deterministic_and_thread_invariant() {
         let suite = SyntheticSuite::sample(CorpusScale::Tiny, 6);
-        let a = LabeledCorpus::collect_native(&suite, SYNTH, 1);
-        let b = LabeledCorpus::collect_native(&suite, SYNTH, 4);
+        let a = LabeledCorpus::collect_env(&suite, SYNTH, 1, &FaultPlan::none());
+        let b = LabeledCorpus::collect_env(&suite, SYNTH, 4, &FaultPlan::none());
         assert_eq!(a.records.len(), suite.len());
         for (ra, rb) in a.records.iter().zip(&b.records) {
             assert_eq!(ra.name, rb.name);
@@ -364,15 +286,19 @@ mod tests {
         }
         assert_eq!(a.env_spec, SYNTH.spec());
         // A different synthetic seed moves the labels.
-        let c =
-            LabeledCorpus::collect_native(&suite, LabelEnvironment::CpuSynthetic { seed: 18 }, 2);
+        let c = LabeledCorpus::collect_env(
+            &suite,
+            LabelEnvironment::CpuSynthetic { seed: 18 },
+            2,
+            &FaultPlan::none(),
+        );
         assert_ne!(a.records[0].times, c.records[0].times);
     }
 
     #[test]
     fn synthetic_grid_prefers_simd_row_for_vectorized_formats() {
         let suite = SyntheticSuite::sample(CorpusScale::Tiny, 6);
-        let c = LabeledCorpus::collect_native(&suite, SYNTH, 2);
+        let c = LabeledCorpus::collect_env(&suite, SYNTH, 2, &FaultPlan::none());
         let mut csr_checked = 0usize;
         for r in &c.records {
             for p in Precision::ALL {
@@ -427,7 +353,7 @@ mod tests {
             .inject(FaultSite::Conversion, 0.3)
             .inject(FaultSite::Measurement, 0.2);
         let sim = LabeledCorpus::collect_with(&suite, &spmv_gpusim::Simulator::default(), 2, &plan);
-        let native = LabeledCorpus::collect_native_with(&suite, SYNTH, 2, &plan);
+        let native = LabeledCorpus::collect_env(&suite, SYNTH, 2, &plan);
         // Conversion faults are keyed `{name}/{fmt}` in both backends
         // (and organic ELL-cap errors carry identical MatrixError text),
         // so the same plan produces the same conversion-scoped failures.
@@ -447,7 +373,7 @@ mod tests {
     fn worker_panic_degrades_not_poisons() {
         let suite = SyntheticSuite::sample(CorpusScale::Tiny, 5);
         let plan = FaultPlan::always(FaultSite::WorkerPanic);
-        let c = LabeledCorpus::collect_native_with(&suite, SYNTH, 3, &plan);
+        let c = LabeledCorpus::collect_env(&suite, SYNTH, 3, &plan);
         assert_eq!(c.records.len(), suite.len());
         for r in &c.records {
             assert!(r.failures[0].reason.contains("injected fault"));
@@ -462,9 +388,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("labels.cpu-synthetic.json");
         let _ = std::fs::remove_file(&path);
-        let a = LabeledCorpus::load_or_collect_native(&suite, SYNTH, 2, &path);
+        let a = LabeledCorpus::load_or_collect(&suite, SYNTH, 2, &path);
         assert!(path.exists());
-        let b = LabeledCorpus::load_or_collect_native(&suite, SYNTH, 2, &path);
+        let b = LabeledCorpus::load_or_collect(&suite, SYNTH, 2, &path);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
@@ -473,7 +399,7 @@ mod tests {
         // A different environment (different synthetic seed) must NOT
         // reuse the cache: the env_spec check forces re-collection.
         let other = LabelEnvironment::CpuSynthetic { seed: 18 };
-        let c = LabeledCorpus::load_or_collect_native(&suite, other, 2, &path);
+        let c = LabeledCorpus::load_or_collect(&suite, other, 2, &path);
         assert_eq!(c.env_spec, other.spec());
         assert_ne!(c.records[0].times, a.records[0].times);
         let _ = std::fs::remove_file(&path);
@@ -482,7 +408,7 @@ mod tests {
     #[test]
     fn native_corpus_serializes_its_env_spec_and_round_trips() {
         let suite = SyntheticSuite::sample(CorpusScale::Tiny, 6);
-        let c = LabeledCorpus::collect_native(&suite, SYNTH, 2);
+        let c = LabeledCorpus::collect_env(&suite, SYNTH, 2, &FaultPlan::none());
         let json = serde_json::to_string(&c).unwrap();
         assert!(json.contains("\"env_spec\""));
         assert!(json.contains("cpu-synthetic"));

@@ -143,12 +143,12 @@ impl Executor {
             (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let workers = self.threads.min(n);
-        // Worker bodies catch their own panics, so the scope result is
-        // always Ok; should that invariant ever break, the error branch
-        // below degrades the missing slots instead of panicking here.
-        let _ = crossbeam::scope(|scope| {
+        // `std::thread::scope` re-raises a worker's panic, but every worker
+        // body catches its own (`run_cell`), so the scope always joins
+        // cleanly with every slot filled.
+        std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let mut scratch = init();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);

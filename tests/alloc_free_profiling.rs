@@ -93,7 +93,7 @@ fn warm_scratch_profiles_every_format_with_zero_allocations() {
         std::hint::black_box(KernelProfile::of_structure(&s));
     }
 
-    // Audited pass: the exact per-matrix work `collect_with` does for an
+    // Audited pass: the exact per-matrix work the simulator measure does for an
     // already-generated CSR — shared row analysis, six structural views,
     // six kernel profiles — must not touch the heap at all.
     let n = allocations(|| {

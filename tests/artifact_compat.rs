@@ -8,7 +8,10 @@
 
 use std::process::Command;
 
-use spmv_core::{ArtifactError, Env, FormatAdvisor, LabeledCorpus, Scenario, SearchBudget};
+use spmv_core::{
+    ArtifactError, Env, FaultPlan, FormatAdvisor, LabelEnvironment, LabeledCorpus, Scenario,
+    SearchBudget,
+};
 use spmv_corpus::{CorpusScale, GenKind, MatrixSpec, SyntheticSuite};
 use spmv_gpusim::Simulator;
 use spmv_matrix::CsrMatrix;
@@ -105,7 +108,12 @@ fn advisor_cli_exits_4_on_a_legacy_envelope() {
 fn scenario_artifact_round_trips_with_widened_arity() {
     let suite = SyntheticSuite::sample(CorpusScale::Tiny, 613);
     let sc = Scenario::ALL[2]; // gpu-spmm16
-    let corpus = LabeledCorpus::collect_scenario(&suite, sc, 2);
+    let corpus = LabeledCorpus::collect_env(
+        &suite,
+        LabelEnvironment::Scenario(sc),
+        2,
+        &FaultPlan::none(),
+    );
     let env = Env::ALL[3];
     let advisor = FormatAdvisor::train_for_scenario(&corpus, sc, env, SearchBudget::Quick);
     assert_eq!(

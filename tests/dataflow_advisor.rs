@@ -5,7 +5,9 @@
 
 use std::process::Command;
 
-use spmv_core::{DataflowAdvisor, Env, LabelEnvironment, LabeledCorpus, Scenario, SearchBudget};
+use spmv_core::{
+    DataflowAdvisor, Env, FaultPlan, LabelEnvironment, LabeledCorpus, Scenario, SearchBudget,
+};
 use spmv_corpus::{CorpusScale, SyntheticSuite};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -71,7 +73,12 @@ fn dataflow_artifact_ships_through_the_envelope_with_its_own_kind() {
     // this keeps the test hermetic and off the shared results/ cache).
     let sc = Scenario::SPGEMM_CELLS[0];
     let suite = SyntheticSuite::sample(CorpusScale::Tiny, 1021);
-    let corpus = LabeledCorpus::collect_scenario(&suite, sc, 2);
+    let corpus = LabeledCorpus::collect_env(
+        &suite,
+        LabelEnvironment::Scenario(sc),
+        2,
+        &FaultPlan::none(),
+    );
     let advisor =
         DataflowAdvisor::train_for_scenario(&corpus, sc, Env::ALL[3], SearchBudget::Quick)
             .expect("tiny corpus trains");

@@ -2,7 +2,7 @@
 //! ships — labeled corpora, corpus manifests, and trained advisors —
 //! round-trips through disk and keeps behaving identically.
 
-use spmv_core::{Env, FormatAdvisor, LabeledCorpus, SearchBudget};
+use spmv_core::{Env, FormatAdvisor, LabelEnvironment, LabeledCorpus, SearchBudget};
 use spmv_corpus::{CorpusScale, GenKind, MatrixSpec, SyntheticSuite};
 use spmv_gpusim::Simulator;
 use spmv_matrix::{CsrMatrix, Format};
@@ -31,14 +31,14 @@ fn labeled_corpus_cache_round_trips_and_validates_version() {
     }
 
     // load_or_collect trusts a matching cache...
-    let again = LabeledCorpus::load_or_collect(&suite, &Simulator::default(), 2, &path);
+    let again = LabeledCorpus::load_or_collect(&suite, LabelEnvironment::Simulator, 2, &path);
     assert_eq!(again.records[0].times, corpus.records[0].times);
 
     // ...but re-collects when the model version is stale.
     let mut stale = corpus.clone();
     stale.model_version = 0;
     stale.save(&path).expect("save stale");
-    let fresh = LabeledCorpus::load_or_collect(&suite, &Simulator::default(), 2, &path);
+    let fresh = LabeledCorpus::load_or_collect(&suite, LabelEnvironment::Simulator, 2, &path);
     assert_eq!(fresh.model_version, spmv_gpusim::MODEL_VERSION);
 
     std::fs::remove_file(&path).ok();
