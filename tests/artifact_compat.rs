@@ -9,8 +9,8 @@
 use std::process::Command;
 
 use spmv_core::{
-    ArtifactError, Env, FaultPlan, FormatAdvisor, LabelEnvironment, LabeledCorpus, Scenario,
-    SearchBudget,
+    ArtifactError, DataflowAdvisor, Env, FaultPlan, FormatAdvisor, LabelEnvironment, LabeledCorpus,
+    Scenario, SearchBudget,
 };
 use spmv_corpus::{CorpusScale, GenKind, MatrixSpec, SyntheticSuite};
 use spmv_gpusim::Simulator;
@@ -179,4 +179,40 @@ fn scenario_artifact_round_trips_with_widened_arity() {
         Ok(_) => panic!("a forged-arity envelope must not load"),
     }
     std::fs::remove_file(&path).ok();
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The envelope bytes of one Tiny-trained advisor of each kind, pinned by
+/// FNV-1a: a refactor of the shared envelope code must not move a byte of
+/// what either kind saves.
+#[test]
+fn envelope_bytes_of_both_advisor_kinds_are_pinned() {
+    let suite = SyntheticSuite::sample(CorpusScale::Tiny, 611);
+    let corpus = LabeledCorpus::collect(&suite, &Simulator::default(), 2);
+    let format = FormatAdvisor::train(&corpus, Env::ALL[3], SearchBudget::Quick);
+    let bytes = format.to_artifact_bytes().expect("format envelope");
+    assert_eq!(fnv1a(&bytes), 9704382100195710205, "format envelope moved");
+
+    let sc = Scenario::SPGEMM_CELLS[0];
+    let suite = SyntheticSuite::sample(CorpusScale::Tiny, 1021);
+    let corpus = LabeledCorpus::collect_env(
+        &suite,
+        LabelEnvironment::Scenario(sc),
+        2,
+        &FaultPlan::none(),
+    );
+    let dataflow =
+        DataflowAdvisor::train_for_scenario(&corpus, sc, Env::ALL[3], SearchBudget::Quick)
+            .expect("tiny corpus trains");
+    let bytes = dataflow.to_artifact_bytes().expect("dataflow envelope");
+    assert_eq!(
+        fnv1a(&bytes),
+        3729000521565501294,
+        "dataflow envelope moved"
+    );
 }
