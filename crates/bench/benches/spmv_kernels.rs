@@ -1,11 +1,12 @@
-//! Criterion bench: CPU SpMV throughput per storage format, sequential and
-//! parallel, on a regular and an irregular matrix. This is the kernel-level
+//! Criterion bench: CPU SpMV throughput of each storage format's sequential
+//! reference kernel, on a regular and an irregular matrix (`benches/exec.rs`
+//! benches the native execution engine). This is the kernel-level
 //! companion to the simulated-GPU numbers: the same structural effects
 //! (padding, skew, locality) show up in real CPU time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use spmv_corpus::{GenKind, MatrixSpec};
-use spmv_matrix::{parallel, CsrMatrix, Format, SparseMatrix};
+use spmv_matrix::{CsrMatrix, Format, SparseMatrix};
 
 fn matrices() -> Vec<(&'static str, CsrMatrix<f64>)> {
     vec![
@@ -50,9 +51,6 @@ fn bench_spmv(c: &mut Criterion) {
             let mut y = vec![0.0; csr.n_rows()];
             group.bench_with_input(BenchmarkId::new("seq", fmt.label()), &m, |b, m| {
                 b.iter(|| m.spmv(&x, &mut y));
-            });
-            group.bench_with_input(BenchmarkId::new("par", fmt.label()), &m, |b, m| {
-                b.iter(|| parallel::spmv_parallel(m, &x, &mut y, parallel::default_threads()));
             });
         }
         group.finish();

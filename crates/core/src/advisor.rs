@@ -281,32 +281,123 @@ impl Artifact {
         }
     }
 
-    /// Validate everything kind-independent about the envelope: magic,
-    /// envelope version, checksum, GPU-model staleness — in that pinned
-    /// order. Kind and arity stay with the per-kind loaders (the payload
-    /// must be parsed to know the expected arity).
-    pub(crate) fn validate_common(&self) -> Result<(), ArtifactError> {
-        if self.magic != ARTIFACT_MAGIC {
-            return Err(ArtifactError::WrongMagic(self.magic.clone()));
+    /// Seal an advisor of `kind` into the versioned, checksummed
+    /// envelope: the exact bytes `save` writes for every advisor kind.
+    pub(crate) fn seal<P: serde::Serialize>(
+        advisor: &P,
+        kind: &str,
+        model_version: u32,
+        feature_arity: u32,
+    ) -> Result<Vec<u8>, ArtifactError> {
+        let payload = serde_json::to_string(advisor).map_err(malformed)?;
+        let artifact = Artifact {
+            magic: ARTIFACT_MAGIC.to_string(),
+            artifact_version: ARTIFACT_VERSION,
+            model_version,
+            feature_arity,
+            kind: kind.to_string(),
+            checksum: checksum_of(&payload),
+            payload,
+        };
+        serde_json::to_string(&artifact)
+            .map(String::into_bytes)
+            .map_err(malformed)
+    }
+
+    /// Parse an envelope and check what every envelope must satisfy,
+    /// whatever it carries: magic, envelope version, checksum — in that
+    /// pinned order.
+    pub(crate) fn parse(text: &str) -> Result<Artifact, ArtifactError> {
+        let artifact: Artifact = serde_json::from_str(text).map_err(malformed)?;
+        if artifact.magic != ARTIFACT_MAGIC {
+            return Err(ArtifactError::WrongMagic(artifact.magic));
         }
-        if self.artifact_version != ARTIFACT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion(self.artifact_version));
+        if artifact.artifact_version != ARTIFACT_VERSION {
+            return Err(ArtifactError::UnsupportedVersion(artifact.artifact_version));
         }
-        let found = checksum_of(&self.payload);
-        if found != self.checksum {
+        let found = checksum_of(&artifact.payload);
+        if found != artifact.checksum {
             return Err(ArtifactError::ChecksumMismatch {
-                expected: self.checksum.clone(),
+                expected: artifact.checksum,
                 found,
             });
         }
-        if self.model_version != spmv_gpusim::MODEL_VERSION {
+        Ok(artifact)
+    }
+
+    /// Open envelope bytes as an advisor of `kind`, returning the verified
+    /// checksum alongside it. After [`Artifact::parse`]'s checks come the
+    /// GPU-model staleness check, the kind gate, the payload parse and the
+    /// arity gate, in that pinned order.
+    pub(crate) fn open<P: serde::Deserialize>(
+        bytes: &[u8],
+        kind: &'static str,
+        arity: fn(&P) -> u32,
+    ) -> Result<(P, String), ArtifactError> {
+        let text = std::str::from_utf8(bytes)
+            .map_err(|e| ArtifactError::Malformed(format!("not utf-8: {e}")))?;
+        let artifact = Artifact::parse(text)?;
+        if artifact.model_version != spmv_gpusim::MODEL_VERSION {
             return Err(ArtifactError::StaleModel {
-                artifact: self.model_version,
+                artifact: artifact.model_version,
                 current: spmv_gpusim::MODEL_VERSION,
             });
         }
-        Ok(())
+        // Kind gate: one kind's payload must never be parsed as another's.
+        // Legacy kind-less envelopes read as "format".
+        if artifact.kind_or_default() != kind {
+            return Err(ArtifactError::KindMismatch {
+                artifact: artifact.kind_or_default().to_string(),
+                expected: kind,
+            });
+        }
+        let advisor: P = serde_json::from_str(&artifact.payload).map_err(malformed)?;
+        // Arity gate (feature-vector v2): the envelope must record the
+        // exact input width the payload's model consumes. Legacy envelopes
+        // record nothing (read as 0) and are rejected here — a 7-feature
+        // model must never be fed a 15-column scenario row, or vice versa,
+        // by silent misindexing.
+        let expected = arity(&advisor);
+        if artifact.feature_arity != expected {
+            return Err(ArtifactError::FeatureArityMismatch {
+                artifact: artifact.feature_arity,
+                expected,
+            });
+        }
+        Ok((advisor, artifact.checksum))
     }
+
+    /// Read and [`Artifact::open`] a saved advisor of `kind`, counting the
+    /// load and any rejection. The `ModelLoad` site of `plan` can force
+    /// the load to fail.
+    pub(crate) fn load<P: serde::Deserialize>(
+        path: &std::path::Path,
+        plan: &FaultPlan,
+        kind: &'static str,
+        arity: fn(&P) -> u32,
+    ) -> Result<P, ArtifactError> {
+        spmv_observe::counter("advisor.model_loads", 1);
+        let key = path.display().to_string();
+        let loaded = if plan.should_fail(FaultSite::ModelLoad, &key) {
+            Err(ArtifactError::Injected(FaultPlan::reason(
+                FaultSite::ModelLoad,
+                &key,
+            )))
+        } else {
+            std::fs::read(path)
+                .map_err(ArtifactError::from)
+                .and_then(|bytes| Self::open(&bytes, kind, arity))
+                .map(|(advisor, _)| advisor)
+        };
+        if loaded.is_err() {
+            spmv_observe::counter("advisor.artifact_rejects", 1);
+        }
+        loaded
+    }
+}
+
+fn malformed(e: serde_json::Error) -> ArtifactError {
+    ArtifactError::Malformed(e.to_string())
 }
 
 pub(crate) fn checksum_of(payload: &str) -> String {
@@ -680,27 +771,18 @@ impl FormatAdvisor {
     /// live objects — so every candidate passes the same envelope
     /// validation a cold-booted artifact would.
     pub fn to_artifact_bytes(&self) -> Result<Vec<u8>, ArtifactError> {
-        let payload =
-            serde_json::to_string(self).map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-        let artifact = Artifact {
-            magic: ARTIFACT_MAGIC.to_string(),
-            artifact_version: ARTIFACT_VERSION,
-            model_version: self.model_version,
-            feature_arity: self.feature_arity(),
-            kind: ARTIFACT_KIND_FORMAT.to_string(),
-            checksum: checksum_of(&payload),
-            payload,
-        };
-        serde_json::to_string(&artifact)
-            .map(String::into_bytes)
-            .map_err(|e| ArtifactError::Malformed(e.to_string()))
+        Artifact::seal(
+            self,
+            ARTIFACT_KIND_FORMAT,
+            self.model_version,
+            self.feature_arity(),
+        )
     }
 
     /// The checksum this advisor's envelope would carry — the same string
     /// [`FormatAdvisor::save`] records and `/healthz` discloses.
     pub fn artifact_checksum(&self) -> Result<String, ArtifactError> {
-        let payload =
-            serde_json::to_string(self).map_err(|e| ArtifactError::Malformed(e.to_string()))?;
+        let payload = serde_json::to_string(self).map_err(malformed)?;
         Ok(checksum_of(&payload))
     }
 
@@ -709,41 +791,12 @@ impl FormatAdvisor {
     /// [`FormatAdvisor::load`]: magic, envelope version, checksum, GPU
     /// model version.
     pub fn from_artifact_bytes(bytes: &[u8]) -> Result<(FormatAdvisor, String), ArtifactError> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|e| ArtifactError::Malformed(format!("not utf-8: {e}")))?;
-        let artifact: Artifact =
-            serde_json::from_str(text).map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-        artifact.validate_common()?;
-        // Kind gate: a dataflow payload must never be parsed as a format
-        // advisor. Legacy kind-less envelopes read as "format" and pass.
-        if artifact.kind_or_default() != ARTIFACT_KIND_FORMAT {
-            return Err(ArtifactError::KindMismatch {
-                artifact: artifact.kind,
-                expected: ARTIFACT_KIND_FORMAT,
-            });
-        }
-        let advisor: FormatAdvisor = serde_json::from_str(&artifact.payload)
-            .map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-        // Arity gate (feature-vector v2): the envelope must record the
-        // exact input width the payload's model consumes. Legacy envelopes
-        // record nothing (read as 0) and are rejected here — a 7-feature
-        // model must never be fed a 15-column scenario row, or vice versa,
-        // by silent misindexing.
-        let expected = advisor.feature_arity();
-        if artifact.feature_arity != expected {
-            return Err(ArtifactError::FeatureArityMismatch {
-                artifact: artifact.feature_arity,
-                expected,
-            });
-        }
-        Ok((advisor, artifact.checksum))
+        Artifact::open(bytes, ARTIFACT_KIND_FORMAT, FormatAdvisor::feature_arity)
     }
 
     /// Persist the trained advisor as a versioned, checksummed artifact.
     pub fn save(&self, path: &std::path::Path) -> Result<(), ArtifactError> {
-        let bytes = self.to_artifact_bytes()?;
-        std::fs::write(path, bytes)?;
-        Ok(())
+        Ok(std::fs::write(path, self.to_artifact_bytes()?)?)
     }
 
     /// Load a previously saved advisor, rejecting anything that is not a
@@ -759,27 +812,12 @@ impl FormatAdvisor {
         path: &std::path::Path,
         plan: &FaultPlan,
     ) -> Result<FormatAdvisor, ArtifactError> {
-        spmv_observe::counter("advisor.model_loads", 1);
-        let loaded = Self::load_with_impl(path, plan);
-        if loaded.is_err() {
-            spmv_observe::counter("advisor.artifact_rejects", 1);
-        }
-        loaded
-    }
-
-    fn load_with_impl(
-        path: &std::path::Path,
-        plan: &FaultPlan,
-    ) -> Result<FormatAdvisor, ArtifactError> {
-        let key = path.display().to_string();
-        if plan.should_fail(FaultSite::ModelLoad, &key) {
-            return Err(ArtifactError::Injected(FaultPlan::reason(
-                FaultSite::ModelLoad,
-                &key,
-            )));
-        }
-        let bytes = std::fs::read(path)?;
-        Self::from_artifact_bytes(&bytes).map(|(advisor, _)| advisor)
+        Artifact::load(
+            path,
+            plan,
+            ARTIFACT_KIND_FORMAT,
+            FormatAdvisor::feature_arity,
+        )
     }
 
     /// Read only the envelope of a saved artifact — magic, versions,
@@ -788,22 +826,7 @@ impl FormatAdvisor {
     /// cheap enough to run against a fleet's artifact store, strict enough
     /// to catch corruption.
     pub fn inspect_artifact(path: &std::path::Path) -> Result<ArtifactInfo, ArtifactError> {
-        let text = std::fs::read_to_string(path)?;
-        let artifact: Artifact =
-            serde_json::from_str(&text).map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-        if artifact.magic != ARTIFACT_MAGIC {
-            return Err(ArtifactError::WrongMagic(artifact.magic));
-        }
-        if artifact.artifact_version != ARTIFACT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion(artifact.artifact_version));
-        }
-        let found = checksum_of(&artifact.payload);
-        if found != artifact.checksum {
-            return Err(ArtifactError::ChecksumMismatch {
-                expected: artifact.checksum,
-                found,
-            });
-        }
+        let artifact = Artifact::parse(&std::fs::read_to_string(path)?)?;
         Ok(ArtifactInfo {
             artifact_version: artifact.artifact_version,
             model_version: artifact.model_version,

@@ -23,11 +23,11 @@ use spmv_gpusim::{Dataflow, N_DATAFLOWS};
 use spmv_ml::{Classifier, FeatureMatrix, GbtClassifier, GbtParams};
 
 use crate::advisor::{
-    checksum_of, AdvisorError, Artifact, ArtifactError, RecommendationSource,
-    ARTIFACT_KIND_DATAFLOW, ARTIFACT_MAGIC, ARTIFACT_VERSION,
+    AdvisorError, Artifact, ArtifactError, RecommendationSource, ARTIFACT_KIND_DATAFLOW,
 };
 use crate::classify::SearchBudget;
 use crate::env::{Env, Scenario};
+use crate::faults::FaultPlan;
 use crate::labels::LabeledCorpus;
 
 /// A dataflow recommendation with its provenance, the dataflow analog of
@@ -217,20 +217,12 @@ impl DataflowAdvisor {
     /// kind [`ARTIFACT_KIND_DATAFLOW`] — the exact bytes
     /// [`DataflowAdvisor::save`] writes.
     pub fn to_artifact_bytes(&self) -> Result<Vec<u8>, ArtifactError> {
-        let payload =
-            serde_json::to_string(self).map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-        let artifact = Artifact {
-            magic: ARTIFACT_MAGIC.to_string(),
-            artifact_version: ARTIFACT_VERSION,
-            model_version: self.model_version,
-            feature_arity: self.feature_arity(),
-            kind: ARTIFACT_KIND_DATAFLOW.to_string(),
-            checksum: checksum_of(&payload),
-            payload,
-        };
-        serde_json::to_string(&artifact)
-            .map(String::into_bytes)
-            .map_err(|e| ArtifactError::Malformed(e.to_string()))
+        Artifact::seal(
+            self,
+            ARTIFACT_KIND_DATAFLOW,
+            self.model_version,
+            self.feature_arity(),
+        )
     }
 
     /// Validate envelope bytes and deserialize the advisor — the same
@@ -239,48 +231,27 @@ impl DataflowAdvisor {
     /// the arity gate. A format-kinded (or legacy kind-less) envelope is
     /// a typed [`ArtifactError::KindMismatch`] here.
     pub fn from_artifact_bytes(bytes: &[u8]) -> Result<(DataflowAdvisor, String), ArtifactError> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|e| ArtifactError::Malformed(format!("not utf-8: {e}")))?;
-        let artifact: Artifact =
-            serde_json::from_str(text).map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-        artifact.validate_common()?;
-        if artifact.kind_or_default() != ARTIFACT_KIND_DATAFLOW {
-            return Err(ArtifactError::KindMismatch {
-                artifact: artifact.kind_or_default().to_string(),
-                expected: ARTIFACT_KIND_DATAFLOW,
-            });
-        }
-        let advisor: DataflowAdvisor = serde_json::from_str(&artifact.payload)
-            .map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-        let expected = advisor.feature_arity();
-        if artifact.feature_arity != expected {
-            return Err(ArtifactError::FeatureArityMismatch {
-                artifact: artifact.feature_arity,
-                expected,
-            });
-        }
-        Ok((advisor, artifact.checksum))
+        Artifact::open(
+            bytes,
+            ARTIFACT_KIND_DATAFLOW,
+            DataflowAdvisor::feature_arity,
+        )
     }
 
     /// Persist the trained advisor as a versioned, checksummed artifact.
     pub fn save(&self, path: &std::path::Path) -> Result<(), ArtifactError> {
-        let bytes = self.to_artifact_bytes()?;
-        std::fs::write(path, bytes)?;
-        Ok(())
+        Ok(std::fs::write(path, self.to_artifact_bytes()?)?)
     }
 
     /// Load a previously saved dataflow advisor, applying every envelope
     /// check of [`DataflowAdvisor::from_artifact_bytes`].
     pub fn load(path: &std::path::Path) -> Result<DataflowAdvisor, ArtifactError> {
-        spmv_observe::counter("advisor.model_loads", 1);
-        let loaded = std::fs::read(path)
-            .map_err(ArtifactError::from)
-            .and_then(|bytes| Self::from_artifact_bytes(&bytes))
-            .map(|(advisor, _)| advisor);
-        if loaded.is_err() {
-            spmv_observe::counter("advisor.artifact_rejects", 1);
-        }
-        loaded
+        Artifact::load(
+            path,
+            &FaultPlan::none(),
+            ARTIFACT_KIND_DATAFLOW,
+            DataflowAdvisor::feature_arity,
+        )
     }
 }
 

@@ -9,6 +9,7 @@
 //! matrix in and what each format's SpMV time will be.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ablation;
 // Deployment-path modules: these run on untrusted input (user matrices,

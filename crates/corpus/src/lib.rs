@@ -15,6 +15,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod gen;
 pub mod suite;

@@ -20,17 +20,25 @@ use crate::prep::{
     CooExec, Csr5Exec, CsrBlockedExec, CsrExec, EllExec, HybExec, MergeExec, PreparedMatrix,
     MAX_OMEGA,
 };
-use crate::simd::{SimdKernels, ELL_ROW_TILE};
+use crate::simd::{self, SimdKernels, ELL_ROW_TILE};
 use crate::SimdLevel;
 use spmv_matrix::Scalar;
 
 /// Compute `y = A·x` for a prepared matrix at the requested SIMD tier.
 ///
-/// `x.len()` must cover every column index and `y.len()` must equal the
-/// matrix's row count. [`SimdLevel::Avx2`] silently degrades to the
-/// scalar path when the element type has no vector kernel or the CPU
-/// lacks the features.
+/// [`SimdLevel::Avx2`] silently degrades to the scalar path when the
+/// element type has no vector kernel or the CPU lacks the features.
+///
+/// # Panics
+/// If `x.len()` is less than the matrix's column count or `y.len()`
+/// differs from its row count.
 pub fn spmv<T: SimdKernels>(m: &PreparedMatrix<'_, T>, x: &[T], y: &mut [T], level: SimdLevel) {
+    assert!(
+        x.len() >= m.n_cols(),
+        "x has {} entries but the matrix has {} columns",
+        x.len(),
+        m.n_cols()
+    );
     match m {
         PreparedMatrix::Coo(v) => coo(v, x, y),
         PreparedMatrix::Csr(v) => csr(v, x, y, level),
@@ -64,7 +72,9 @@ fn coo<T: Scalar>(v: &CooExec<'_, T>, x: &[T], y: &mut [T]) {
 /// accumulators; AVX2 gather+FMA when requested and available.
 fn csr<T: SimdKernels>(v: &CsrExec<'_, T>, x: &[T], y: &mut [T], level: SimdLevel) {
     assert_eq!(y.len(), v.n_rows);
-    if level == SimdLevel::Avx2 && T::csr_simd(v.row_ptr, v.col_idx, v.vals, x, y) {
+    // `simd::csr` checks the view's bounds against `x` and `y` before its
+    // unchecked gathers run, and declines to the scalar loop otherwise.
+    if level == SimdLevel::Avx2 && simd::csr(v, x, y) {
         return;
     }
     for (r, w) in v.row_ptr.windows(2).enumerate() {
@@ -121,7 +131,8 @@ fn ell<T: SimdKernels>(v: &EllExec<'_, T>, x: &[T], y: &mut [T], level: SimdLeve
 /// column-major traversal so plane chunks stream sequentially while the
 /// `y` tile stays L1-resident.
 fn ell_accumulate<T: SimdKernels>(v: &EllExec<'_, T>, x: &[T], y: &mut [T], level: SimdLevel) {
-    if level == SimdLevel::Avx2 && T::ell_simd(v.n_rows, v.width, v.col_plane, v.val_plane, x, y) {
+    // As in `csr`: `simd::ell` checks the bounds its gathers rely on.
+    if level == SimdLevel::Avx2 && simd::ell(v, x, y) {
         return;
     }
     let mut t0 = 0usize;

@@ -30,10 +30,14 @@
 //! the matrix substrate and the observability layer.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod kernels;
 pub mod measure;
 pub mod prep;
+// The AVX2 kernels are the crate's only `unsafe`; every block in the
+// module states why its preconditions hold.
+#[allow(unsafe_code)]
 pub mod simd;
 
 pub use kernels::spmv;

@@ -78,26 +78,30 @@ impl<T: Scalar> ExecScratch<T> {
 #[derive(Debug, Clone, Copy)]
 pub struct CooExec<'a, T> {
     /// Number of rows.
-    pub n_rows: usize,
+    pub(crate) n_rows: usize,
+    /// Number of columns: every column index is below it.
+    pub(crate) n_cols: usize,
     /// Row index per non-zero (non-decreasing).
-    pub rows: &'a [u32],
+    pub(crate) rows: &'a [u32],
     /// Column index per non-zero.
-    pub cols: &'a [u32],
+    pub(crate) cols: &'a [u32],
     /// Value per non-zero.
-    pub vals: &'a [T],
+    pub(crate) vals: &'a [T],
 }
 
 /// CSR execution view: the matrix arrays borrowed directly.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrExec<'a, T> {
     /// Number of rows.
-    pub n_rows: usize,
+    pub(crate) n_rows: usize,
+    /// Number of columns: every column index is below it.
+    pub(crate) n_cols: usize,
     /// Row-pointer array (`n_rows + 1` entries).
-    pub row_ptr: &'a [u32],
+    pub(crate) row_ptr: &'a [u32],
     /// Column indices, row-contiguous.
-    pub col_idx: &'a [u32],
+    pub(crate) col_idx: &'a [u32],
     /// Values, row-contiguous.
-    pub vals: &'a [T],
+    pub(crate) vals: &'a [T],
 }
 
 /// Cache-blocked CSR execution view: triplets bucketed into column strips
@@ -106,16 +110,18 @@ pub struct CsrExec<'a, T> {
 #[derive(Debug, Clone, Copy)]
 pub struct CsrBlockedExec<'a, T> {
     /// Number of rows.
-    pub n_rows: usize,
+    pub(crate) n_rows: usize,
+    /// Number of columns: every column index is below it.
+    pub(crate) n_cols: usize,
     /// Strip extents: strip `s` owns stream entries
     /// `strip_ptr[s]..strip_ptr[s+1]`.
-    pub strip_ptr: &'a [u32],
+    pub(crate) strip_ptr: &'a [u32],
     /// Row index per entry, strip-bucketed (row-major within a strip).
-    pub rows: &'a [u32],
+    pub(crate) rows: &'a [u32],
     /// Column index per entry.
-    pub cols: &'a [u32],
+    pub(crate) cols: &'a [u32],
     /// Value per entry.
-    pub vals: &'a [T],
+    pub(crate) vals: &'a [T],
 }
 
 /// ELL execution view: padded column-major column and value planes
@@ -123,24 +129,26 @@ pub struct CsrBlockedExec<'a, T> {
 #[derive(Debug, Clone, Copy)]
 pub struct EllExec<'a, T> {
     /// Number of rows.
-    pub n_rows: usize,
+    pub(crate) n_rows: usize,
+    /// Number of columns: every column index is below it.
+    pub(crate) n_cols: usize,
     /// True (unpadded) non-zero count.
-    pub nnz: usize,
+    pub(crate) nnz: usize,
     /// Padded row width `K`.
-    pub width: usize,
+    pub(crate) width: usize,
     /// Column-index plane, column-major (`width * n_rows` slots).
-    pub col_plane: &'a [u32],
+    pub(crate) col_plane: &'a [u32],
     /// Value plane, column-major, zero in padding slots.
-    pub val_plane: &'a [T],
+    pub(crate) val_plane: &'a [T],
 }
 
 /// HYB execution view: ELL head plus COO tail.
 #[derive(Debug, Clone, Copy)]
 pub struct HybExec<'a, T> {
     /// The regular head.
-    pub head: EllExec<'a, T>,
+    pub(crate) head: EllExec<'a, T>,
     /// The irregular spill.
-    pub tail: CooExec<'a, T>,
+    pub(crate) tail: CooExec<'a, T>,
 }
 
 /// Merge-CSR execution view: plain CSR arrays plus precomputed equal-work
@@ -148,39 +156,41 @@ pub struct HybExec<'a, T> {
 #[derive(Debug, Clone, Copy)]
 pub struct MergeExec<'a, T> {
     /// The CSR arrays the merge path walks.
-    pub csr: CsrExec<'a, T>,
+    pub(crate) csr: CsrExec<'a, T>,
     /// Segment boundaries (`n_segs + 1` coordinates, first `(0,0)`, last
     /// `(n_rows, nnz)`).
-    pub segs: &'a [MergeCoordinate],
+    pub(crate) segs: &'a [MergeCoordinate],
 }
 
 /// CSR5 execution view: transposed full tiles plus the CSR-ordered tail.
 #[derive(Debug, Clone, Copy)]
 pub struct Csr5Exec<'a, T> {
     /// Number of rows.
-    pub n_rows: usize,
+    pub(crate) n_rows: usize,
+    /// Number of columns: every column index is below it.
+    pub(crate) n_cols: usize,
     /// Stored non-zeros.
-    pub nnz: usize,
+    pub(crate) nnz: usize,
     /// Tile width (SIMD lanes); at most [`MAX_OMEGA`].
-    pub omega: usize,
+    pub(crate) omega: usize,
     /// Tile height (entries per lane).
-    pub sigma: usize,
+    pub(crate) sigma: usize,
     /// Number of full tiles.
-    pub n_tiles: usize,
+    pub(crate) n_tiles: usize,
     /// Transposed tile column indices (step-major: consecutive entries are
     /// one step across all lanes).
-    pub cols_t: &'a [u32],
+    pub(crate) cols_t: &'a [u32],
     /// Transposed tile values, same layout.
-    pub vals_t: &'a [T],
+    pub(crate) vals_t: &'a [T],
     /// Per-tile start row (`n_tiles + 1`; the last entry is the row of the
     /// first tail element, or `n_rows` when the tail is empty).
-    pub tile_rows: &'a [u32],
+    pub(crate) tile_rows: &'a [u32],
     /// The source row pointer (lane row cursors walk it).
-    pub row_ptr: &'a [u32],
+    pub(crate) row_ptr: &'a [u32],
     /// Column indices of the CSR-ordered tail.
-    pub tail_cols: &'a [u32],
+    pub(crate) tail_cols: &'a [u32],
     /// Values of the CSR-ordered tail.
-    pub tail_vals: &'a [T],
+    pub(crate) tail_vals: &'a [T],
 }
 
 /// A matrix prepared for native execution in one concrete format.
@@ -215,7 +225,7 @@ impl<'a, T: Scalar> PreparedMatrix<'a, T> {
         stats: &RowStats,
         scratch: &'a mut ExecScratch<T>,
     ) -> Result<PreparedMatrix<'a, T>, MatrixError> {
-        let n_rows = csr.n_rows();
+        let (n_rows, n_cols) = csr.shape();
         let nnz = csr.nnz();
         // The structural layer derives every index plane; this function
         // only adds the value planes it deliberately omits.
@@ -223,12 +233,13 @@ impl<'a, T: Scalar> PreparedMatrix<'a, T> {
         Ok(match structure {
             FormatStructure::Coo(s) => PreparedMatrix::Coo(CooExec {
                 n_rows,
+                n_cols,
                 rows: s.rows,
                 cols: s.cols,
                 vals: csr.values(),
             }),
             FormatStructure::Csr(s) => {
-                if csr.n_cols() > BLOCK_THRESHOLD_COLS && nnz > 0 {
+                if n_cols > BLOCK_THRESHOLD_COLS && nnz > 0 {
                     build_blocked_csr(
                         csr,
                         &mut scratch.strip_ptr,
@@ -238,6 +249,7 @@ impl<'a, T: Scalar> PreparedMatrix<'a, T> {
                     );
                     PreparedMatrix::CsrBlocked(CsrBlockedExec {
                         n_rows,
+                        n_cols,
                         strip_ptr: &scratch.strip_ptr,
                         rows: &scratch.brows,
                         cols: &scratch.bcols,
@@ -246,6 +258,7 @@ impl<'a, T: Scalar> PreparedMatrix<'a, T> {
                 } else {
                     PreparedMatrix::Csr(CsrExec {
                         n_rows,
+                        n_cols,
                         row_ptr: s.row_ptr,
                         col_idx: s.col_idx,
                         vals: csr.values(),
@@ -262,6 +275,7 @@ impl<'a, T: Scalar> PreparedMatrix<'a, T> {
                 );
                 PreparedMatrix::Ell(EllExec {
                     n_rows,
+                    n_cols,
                     nnz: s.nnz,
                     width: s.width,
                     col_plane: s.col_plane,
@@ -282,6 +296,7 @@ impl<'a, T: Scalar> PreparedMatrix<'a, T> {
                 PreparedMatrix::Hyb(HybExec {
                     head: EllExec {
                         n_rows,
+                        n_cols,
                         nnz: s.ell.nnz,
                         width: k,
                         col_plane: s.ell.col_plane,
@@ -289,6 +304,7 @@ impl<'a, T: Scalar> PreparedMatrix<'a, T> {
                     },
                     tail: CooExec {
                         n_rows,
+                        n_cols,
                         rows: s.tail.rows,
                         cols: s.tail.cols,
                         vals: &scratch.tail_vals,
@@ -300,6 +316,7 @@ impl<'a, T: Scalar> PreparedMatrix<'a, T> {
                 PreparedMatrix::MergeCsr(MergeExec {
                     csr: CsrExec {
                         n_rows,
+                        n_cols,
                         row_ptr: s.row_ptr,
                         col_idx: s.col_idx,
                         vals: csr.values(),
@@ -326,6 +343,7 @@ impl<'a, T: Scalar> PreparedMatrix<'a, T> {
                 let tail_start = s.n_tiles * tile_nnz;
                 PreparedMatrix::Csr5(Csr5Exec {
                     n_rows,
+                    n_cols,
                     nnz,
                     omega: s.config.omega,
                     sigma: s.config.sigma,
@@ -351,6 +369,19 @@ impl<'a, T: Scalar> PreparedMatrix<'a, T> {
             PreparedMatrix::Hyb(_) => Format::Hyb,
             PreparedMatrix::MergeCsr(_) => Format::MergeCsr,
             PreparedMatrix::Csr5(_) => Format::Csr5,
+        }
+    }
+
+    /// Column count of the source matrix: `x` must hold this many entries.
+    pub fn n_cols(&self) -> usize {
+        match self {
+            PreparedMatrix::Coo(v) => v.n_cols,
+            PreparedMatrix::Csr(v) => v.n_cols,
+            PreparedMatrix::CsrBlocked(v) => v.n_cols,
+            PreparedMatrix::Ell(v) => v.n_cols,
+            PreparedMatrix::Hyb(v) => v.head.n_cols,
+            PreparedMatrix::MergeCsr(v) => v.csr.n_cols,
+            PreparedMatrix::Csr5(v) => v.n_cols,
         }
     }
 

@@ -27,6 +27,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// Version of the performance model. Bump whenever profiling or timing
 /// semantics change, so downstream label caches invalidate instead of

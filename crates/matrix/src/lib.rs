@@ -6,9 +6,8 @@
 //! The crate implements the six formats the paper evaluates —
 //! [`CooMatrix`], [`CsrMatrix`], [`EllMatrix`], [`HybMatrix`],
 //! [`Csr5Matrix`], and [`MergeCsrMatrix`] — with lossless conversions
-//! between them, sequential reference kernels, multi-threaded CPU kernels
-//! mirroring the GPU work decompositions ([`parallel`]), and MatrixMarket
-//! I/O ([`mm`]).
+//! between them, sequential reference kernels, and MatrixMarket I/O
+//! ([`mm`]).
 //!
 //! ## Quick example
 //! ```
@@ -28,6 +27,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod coo;
@@ -43,7 +43,6 @@ pub mod merge;
 // unwrap/expect lints are hard errors here (tests opt back out locally).
 #[deny(clippy::unwrap_used, clippy::expect_used)]
 pub mod mm;
-pub mod parallel;
 pub mod scalar;
 pub mod spgemm;
 pub mod structure;

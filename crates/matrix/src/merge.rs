@@ -62,8 +62,8 @@ pub struct SegmentCarry<T> {
 
 /// Merge-based CSR SpMV wrapper. Owns a CSR matrix and exposes the
 /// merge-path machinery; sequential `spmv` is identical math to CSR, so the
-/// interesting entry points are [`Self::spmv_segment`] (used by the parallel
-/// driver and the GPU model) and [`Self::partition`].
+/// interesting entry points are [`Self::spmv_segment`] and
+/// [`Self::partition`], which decompose the work the way the GPU kernel does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergeCsrMatrix<T> {
     csr: CsrMatrix<T>,
@@ -160,42 +160,6 @@ impl<T: Scalar> MergeCsrMatrix<T> {
             row += 1;
         }
         // Trailing non-zeros belong to the row left open at the boundary.
-        while nz < end.nz {
-            acc += vals[nz] * x[cols[nz] as usize];
-            nz += 1;
-        }
-        SegmentCarry {
-            carry_row: row,
-            carry: acc,
-        }
-    }
-
-    /// Like [`Self::spmv_segment`], but writes row sums into a local buffer
-    /// indexed relative to `start.row` (`local[r - start.row]`). Lets a
-    /// parallel driver give each worker private output storage.
-    pub fn spmv_segment_into(
-        &self,
-        start: MergeCoordinate,
-        end: MergeCoordinate,
-        x: &[T],
-        local: &mut [T],
-    ) -> SegmentCarry<T> {
-        debug_assert_eq!(local.len(), end.row - start.row);
-        let row_ends = &self.csr.row_ptr()[1..];
-        let cols = self.csr.col_idx();
-        let vals = self.csr.values();
-        let mut row = start.row;
-        let mut nz = start.nz;
-        let mut acc = T::ZERO;
-        while row < end.row {
-            while nz < row_ends[row] as usize {
-                acc += vals[nz] * x[cols[nz] as usize];
-                nz += 1;
-            }
-            local[row - start.row] = acc;
-            acc = T::ZERO;
-            row += 1;
-        }
         while nz < end.nz {
             acc += vals[nz] * x[cols[nz] as usize];
             nz += 1;

@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use spmv_matrix::{
-    merge_path_search, parallel, Csr5Config, Csr5Matrix, CsrMatrix, Format, MergeCsrMatrix,
-    SparseMatrix, TripletBuilder,
+    merge_path_search, Csr5Config, Csr5Matrix, CsrMatrix, Format, MergeCsrMatrix, SparseMatrix,
+    TripletBuilder,
 };
 use std::collections::BTreeMap;
 
@@ -62,26 +62,6 @@ proptest! {
         for fmt in Format::ALL {
             if let Ok(m) = SparseMatrix::from_csr(&csr, fmt) {
                 prop_assert_eq!(m.to_csr(), csr.clone(), "{} round trip", fmt);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential((r, c, entries) in arb_matrix(), threads in 1usize..6) {
-        let csr = build(r, c, &entries);
-        let x: Vec<f64> = (0..c).map(|i| (i % 5) as f64 - 2.0).collect();
-        let mut expect = vec![0.0; r];
-        csr.spmv(&x, &mut expect);
-        for fmt in Format::ALL {
-            if let Ok(m) = SparseMatrix::from_csr(&csr, fmt) {
-                let mut y = vec![f64::NAN; r];
-                parallel::spmv_parallel(&m, &x, &mut y, threads);
-                for (row, (a, b)) in expect.iter().zip(&y).enumerate() {
-                    prop_assert!(
-                        (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                        "{fmt}/{threads}t row {row}: {a} vs {b}"
-                    );
-                }
             }
         }
     }

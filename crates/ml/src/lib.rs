@@ -23,6 +23,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod data;
 pub mod ensemble;

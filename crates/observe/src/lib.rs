@@ -34,6 +34,7 @@
 //! artifacts stay byte-identical.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -16,7 +16,7 @@
 //! panics. The only `unsafe` is the syscall boundary itself, and each
 //! call site documents why it is sound.
 
-#![allow(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 // The full readiness vocabulary is declared even where the event loop
 // only arms a subset; an FFI surface is documented whole or not at all.
 #![allow(dead_code)]
@@ -159,6 +159,19 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
+
+    #[test]
+    fn event_layout_matches_the_kernel_abi() {
+        // `epoll_ctl`/`epoll_wait` read and write `struct epoll_event`
+        // through raw pointers, so the Rust layout must be the C one.
+        let (size, data_offset) = if cfg!(target_arch = "x86_64") {
+            (12, 4)
+        } else {
+            (16, 8)
+        };
+        assert_eq!(std::mem::size_of::<Event>(), size);
+        assert_eq!(std::mem::offset_of!(Event, data), data_offset);
+    }
 
     #[test]
     fn listener_readiness_fires_on_connect() {

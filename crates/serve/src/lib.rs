@@ -43,9 +43,13 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod batch;
 pub mod cache;
+// The epoll FFI is the crate's only `unsafe`; every block in the module
+// states why the call is sound.
+#[allow(unsafe_code)]
 mod epoll;
 mod event;
 pub mod http;

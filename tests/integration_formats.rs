@@ -1,10 +1,10 @@
 //! Cross-crate integration: corpus generators feed every storage format,
-//! all formats agree with each other numerically (sequential and parallel),
+//! all formats agree with each other numerically,
 //! and the GPU model prices them coherently.
 
 use spmv_corpus::{CorpusScale, GenKind, MatrixSpec, SyntheticSuite};
 use spmv_gpusim::{GpuArch, KernelProfile, Simulator};
-use spmv_matrix::{parallel, CsrMatrix, Format, Precision, SparseMatrix};
+use spmv_matrix::{CsrMatrix, Format, Precision, SparseMatrix};
 
 fn spmv_reference(csr: &CsrMatrix<f64>, x: &[f64]) -> Vec<f64> {
     let mut y = vec![0.0; csr.n_rows()];
@@ -80,16 +80,6 @@ fn every_generator_family_round_trips_through_every_format() {
                 assert!(
                     (a - b).abs() <= 1e-9 * a.abs().max(1.0),
                     "{} {fmt} row {r}: {a} vs {b}",
-                    spec.name
-                );
-            }
-            // Parallel kernel agrees.
-            let mut yp = vec![f64::NAN; csr.n_rows()];
-            parallel::spmv_parallel(&m, &x, &mut yp, 4);
-            for (r, (a, b)) in expect.iter().zip(&yp).enumerate() {
-                assert!(
-                    (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                    "{} {fmt} parallel row {r}: {a} vs {b}",
                     spec.name
                 );
             }
