@@ -189,7 +189,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The envelope bytes of one Tiny-trained advisor of each kind, pinned by
 /// FNV-1a: a refactor of the shared envelope code must not move a byte of
-/// what either kind saves.
+/// what either kind saves. The format kind is pinned through both of its
+/// training entry points (plain and scenario-widened).
 #[test]
 fn envelope_bytes_of_both_advisor_kinds_are_pinned() {
     let suite = SyntheticSuite::sample(CorpusScale::Tiny, 611);
@@ -197,6 +198,24 @@ fn envelope_bytes_of_both_advisor_kinds_are_pinned() {
     let format = FormatAdvisor::train(&corpus, Env::ALL[3], SearchBudget::Quick);
     let bytes = format.to_artifact_bytes().expect("format envelope");
     assert_eq!(fnv1a(&bytes), 9704382100195710205, "format envelope moved");
+
+    let sc = Scenario::FORMAT_CELLS[1]; // gpu-spmm4
+    let suite = SyntheticSuite::sample(CorpusScale::Tiny, 617);
+    let corpus = LabeledCorpus::collect_env(
+        &suite,
+        LabelEnvironment::Scenario(sc),
+        2,
+        &FaultPlan::none(),
+    );
+    let scenario = FormatAdvisor::train_for_scenario(&corpus, sc, Env::ALL[3], SearchBudget::Quick);
+    let bytes = scenario
+        .to_artifact_bytes()
+        .expect("scenario format envelope");
+    assert_eq!(
+        fnv1a(&bytes),
+        8933020567209407115,
+        "scenario format envelope moved"
+    );
 
     let sc = Scenario::SPGEMM_CELLS[0];
     let suite = SyntheticSuite::sample(CorpusScale::Tiny, 1021);
