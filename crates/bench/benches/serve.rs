@@ -7,7 +7,7 @@
 //!   server: the protocol floor (`/healthz`), a matrix recommendation
 //!   with the cache disabled (parse + featurize + advise every time), the
 //!   same request cache-hot (response bytes served from the LRU), and a
-//!   17-feature vector request through the micro-batcher. Each shape is
+//!   17-feature vector request (cache disabled as well). Each shape is
 //!   measured twice: one-shot (`Connection: close` per request — the
 //!   legacy contract, retained as the regression baseline) and keep-alive
 //!   (one persistent connection reused across iterations).
@@ -19,7 +19,7 @@
 //!   throughput path of the event-driven core.
 //!
 //! The server runs the heuristic advisor so the numbers isolate serving
-//! cost (socket, parse, cache, batcher) from model inference, and the
+//! cost (socket, parse, cache) from model inference, and the
 //! bench needs no trained artifact. Headline numbers live in
 //! `BENCH_serve.json` at the repo root; regenerate with
 //! `cargo bench -p spmv-bench --bench serve`.

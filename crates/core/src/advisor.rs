@@ -20,9 +20,9 @@
 
 use spmv_features::{extract, FeatureSet, FeatureVector};
 use spmv_matrix::{CsrMatrix, Format, Scalar};
-use spmv_ml::{Classifier, GbtClassifier, GbtParams};
+use spmv_ml::{Classifier, GbtClassifier};
 
-use crate::classify::SearchBudget;
+use crate::classify::{xgboost, SearchBudget};
 use crate::dataset::{ClassificationTask, RegressionTask};
 use crate::env::{Env, Scenario};
 use crate::faults::{fnv1a_64, FaultPlan, FaultSite};
@@ -400,6 +400,34 @@ fn malformed(e: serde_json::Error) -> ArtifactError {
     ArtifactError::Malformed(e.to_string())
 }
 
+/// The classify step both advisor kinds share: class probabilities for
+/// one input row, rejected if any is non-finite, then the most probable
+/// label with its probability as the confidence. A class index past the
+/// end of `labels` is a typed error, never a panic.
+pub(crate) fn classify_row<L: Copy>(
+    classifier: &GbtClassifier,
+    row: &[f64],
+    labels: &[L],
+) -> Result<(L, f64), AdvisorError> {
+    let probs = classifier.predict_proba_one(row, labels.len());
+    if probs.iter().any(|p| !p.is_finite()) {
+        return Err(AdvisorError::NonFiniteModelOutput);
+    }
+    let (class, confidence) = probs
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(i, p)| (i, *p))
+        .unwrap_or((0, 0.0));
+    match labels.get(class) {
+        Some(&label) => Ok((label, confidence)),
+        None => Err(AdvisorError::ClassOutOfRange {
+            class,
+            n_formats: labels.len(),
+        }),
+    }
+}
+
 pub(crate) fn checksum_of(payload: &str) -> String {
     format!("{:016x}", fnv1a_64(&[payload.as_bytes()]))
 }
@@ -432,40 +460,7 @@ impl FormatAdvisor {
     /// ensemble over the same features (+ format one-hot) for timing.
     pub fn train(corpus: &LabeledCorpus, env: Env, budget: SearchBudget) -> FormatAdvisor {
         let _span = spmv_observe::span!("advisor/train", corpus = corpus.records.len() as u64);
-        let set = FeatureSet::Important;
-        let formats = Format::ALL.to_vec();
-
-        let ctask = ClassificationTask::build(corpus, env, &formats, set, true);
-        let mut classifier = GbtClassifier::new(GbtParams {
-            n_estimators: match budget {
-                SearchBudget::Quick => 60,
-                SearchBudget::Paper => 200,
-            },
-            max_depth: 6,
-            learning_rate: 0.1,
-            ..GbtParams::default()
-        });
-        classifier.fit(&ctask.x, &ctask.y, formats.len());
-
-        let rtask = RegressionTask::build(corpus, env, &formats, set);
-        let all: Vec<usize> = (0..rtask.len()).collect();
-        let predictor = train_time_predictor(
-            RegModelKind::MlpEnsemble,
-            &rtask,
-            &all,
-            budget,
-            corpus.suite_seed,
-        );
-
-        FormatAdvisor {
-            env,
-            set,
-            formats,
-            classifier,
-            predictor,
-            model_version: corpus.model_version,
-            scenario_extra: Vec::new(),
-        }
+        Self::fit(corpus, env, budget, Vec::new())
     }
 
     /// Train on a scenario-labeled corpus for one `(scenario, env)` cell,
@@ -484,20 +479,23 @@ impl FormatAdvisor {
             "advisor/train_scenario",
             corpus = corpus.records.len() as u64
         );
+        Self::fit(corpus, env, budget, scenario.descriptor(env).to_vec())
+    }
+
+    /// The one training body: the classifier and the time regressor over
+    /// the `imp.` projection with `extra` appended to every row (empty for
+    /// a plain advisor).
+    fn fit(
+        corpus: &LabeledCorpus,
+        env: Env,
+        budget: SearchBudget,
+        extra: Vec<f64>,
+    ) -> FormatAdvisor {
         let set = FeatureSet::Important;
         let formats = Format::ALL.to_vec();
-        let extra: Vec<f64> = scenario.descriptor(env).to_vec();
 
         let ctask = ClassificationTask::build_with_extra(corpus, env, &formats, set, true, &extra);
-        let mut classifier = GbtClassifier::new(GbtParams {
-            n_estimators: match budget {
-                SearchBudget::Quick => 60,
-                SearchBudget::Paper => 200,
-            },
-            max_depth: 6,
-            learning_rate: 0.1,
-            ..GbtParams::default()
-        });
+        let mut classifier = xgboost(budget);
         classifier.fit(&ctask.x, &ctask.y, formats.len());
 
         let rtask = RegressionTask::build_with_extra(corpus, env, &formats, set, &extra);
@@ -597,7 +595,7 @@ impl FormatAdvisor {
     }
 
     /// Recommend from a *pre-extracted* feature vector — the serving path,
-    /// where the caller (a remote client) already ran [`extract`] and ships
+    /// where the caller (a remote client) already ran [`extract()`] and ships
     /// the seventeen values instead of the matrix. Never fails: a broken
     /// model path degrades to [`HeuristicAdvisor::recommend_features`] and
     /// says so in its `source`.
@@ -625,30 +623,13 @@ impl FormatAdvisor {
         if !fv.is_finite() {
             return Err(AdvisorError::NonFiniteFeatures);
         }
-        let features = self.input_row(fv);
-        let probs = self
-            .classifier
-            .predict_proba_one(&features, self.formats.len());
-        if probs.iter().any(|p| !p.is_finite()) {
-            return Err(AdvisorError::NonFiniteModelOutput);
-        }
-        let (class, confidence) = probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, p)| (i, *p))
-            .unwrap_or((0, 0.0));
-        match self.formats.get(class) {
-            Some(&format) => Ok(Recommendation {
-                format,
-                source: RecommendationSource::Model,
-                confidence,
-            }),
-            None => Err(AdvisorError::ClassOutOfRange {
-                class,
-                n_formats: self.formats.len(),
-            }),
-        }
+        let (format, confidence) =
+            classify_row(&self.classifier, &self.input_row(fv), &self.formats)?;
+        Ok(Recommendation {
+            format,
+            source: RecommendationSource::Model,
+            confidence,
+        })
     }
 
     /// Predict SpMV time (seconds) for `matrix` in every format,

@@ -58,6 +58,22 @@ pub enum SearchBudget {
     Paper,
 }
 
+/// The deployed XGBoost recipe: depth 6, learning rate 0.1, and 60
+/// (`Quick`) or 200 (`Paper`) boosting rounds. Every trained advisor and
+/// the extension studies fit this one configuration; only the accuracy
+/// tables grid-search their own.
+pub(crate) fn xgboost(budget: SearchBudget) -> GbtClassifier {
+    GbtClassifier::new(GbtParams {
+        n_estimators: match budget {
+            SearchBudget::Quick => 60,
+            SearchBudget::Paper => 200,
+        },
+        max_depth: 6,
+        learning_rate: 0.1,
+        ..GbtParams::default()
+    })
+}
+
 /// Outcome of one train/evaluate run.
 #[derive(Debug, Clone)]
 pub struct EvalOutcome {

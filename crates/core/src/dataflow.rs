@@ -20,12 +20,13 @@
 
 use spmv_features::{FeatureSet, FeatureVector, DATAFLOW_FEATURE_COUNT};
 use spmv_gpusim::{Dataflow, N_DATAFLOWS};
-use spmv_ml::{Classifier, FeatureMatrix, GbtClassifier, GbtParams};
+use spmv_ml::{Classifier, FeatureMatrix, GbtClassifier};
 
 use crate::advisor::{
-    AdvisorError, Artifact, ArtifactError, RecommendationSource, ARTIFACT_KIND_DATAFLOW,
+    classify_row, AdvisorError, Artifact, ArtifactError, RecommendationSource,
+    ARTIFACT_KIND_DATAFLOW,
 };
-use crate::classify::SearchBudget;
+use crate::classify::{xgboost, SearchBudget};
 use crate::env::{Env, Scenario};
 use crate::faults::FaultPlan;
 use crate::labels::LabeledCorpus;
@@ -117,15 +118,7 @@ impl DataflowAdvisor {
         if rows.is_empty() {
             return None;
         }
-        let mut classifier = GbtClassifier::new(GbtParams {
-            n_estimators: match budget {
-                SearchBudget::Quick => 60,
-                SearchBudget::Paper => 200,
-            },
-            max_depth: 6,
-            learning_rate: 0.1,
-            ..GbtParams::default()
-        });
+        let mut classifier = xgboost(budget);
         classifier.fit(&FeatureMatrix::from_rows(&rows), &labels, N_DATAFLOWS);
         Some(DataflowAdvisor {
             env,
@@ -190,27 +183,12 @@ impl DataflowAdvisor {
         }
         let mut row = fv.project(self.set);
         row.extend_from_slice(extra);
-        let probs = self.classifier.predict_proba_one(&row, N_DATAFLOWS);
-        if probs.iter().any(|p| !p.is_finite()) {
-            return Err(AdvisorError::NonFiniteModelOutput);
-        }
-        let (class, confidence) = probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, p)| (i, *p))
-            .unwrap_or((0, 0.0));
-        match Dataflow::ALL.get(class) {
-            Some(&dataflow) => Ok(DataflowRecommendation {
-                dataflow,
-                source: RecommendationSource::Model,
-                confidence,
-            }),
-            None => Err(AdvisorError::ClassOutOfRange {
-                class,
-                n_formats: N_DATAFLOWS,
-            }),
-        }
+        let (dataflow, confidence) = classify_row(&self.classifier, &row, &Dataflow::ALL)?;
+        Ok(DataflowRecommendation {
+            dataflow,
+            source: RecommendationSource::Model,
+            confidence,
+        })
     }
 
     /// Serialize into the shared versioned, checksummed envelope under

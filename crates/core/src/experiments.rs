@@ -8,12 +8,10 @@ use spmv_corpus::{bucket_labels, CorpusScale, GenKind, MatrixSpec, SyntheticSuit
 use spmv_features::{FeatureId, FeatureSet};
 use spmv_gpusim::{GpuArch, Simulator};
 use spmv_matrix::{CsrMatrix, Format, Precision, SparseMatrix};
-use spmv_ml::{
-    thread_budget, Classifier, Executor, FeatureMatrix, GbtClassifier, GbtParams, SlowdownTable,
-};
+use spmv_ml::{thread_budget, Classifier, Executor, FeatureMatrix, SlowdownTable};
 
 use crate::advisor::FormatAdvisor;
-use crate::classify::{evaluate_classifier, xgboost_importance, ModelKind, SearchBudget};
+use crate::classify::{evaluate_classifier, xgboost, xgboost_importance, ModelKind, SearchBudget};
 use crate::dataflow::{heuristic_dataflow, DataflowAdvisor};
 use crate::dataset::{ClassificationTask, RegressionTask};
 use crate::env::{Env, LabelEnvironment, Scenario};
@@ -1155,15 +1153,7 @@ pub fn cross_scenario_from(
             }
         }
     }
-    let mut unified = GbtClassifier::new(GbtParams {
-        n_estimators: match cfg.budget {
-            SearchBudget::Quick => 60,
-            SearchBudget::Paper => 200,
-        },
-        max_depth: 6,
-        learning_rate: 0.1,
-        ..GbtParams::default()
-    });
+    let mut unified = xgboost(cfg.budget);
     unified.fit(&FeatureMatrix::from_rows(&uni_rows), &uni_y, all.len());
 
     // The expert fleet: one per cell, trained on that cell's split alone.

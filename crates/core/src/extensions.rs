@@ -13,25 +13,14 @@ use spmv_corpus::bucket_labels;
 use spmv_features::FeatureSet;
 use spmv_gpusim::{GpuArch, Simulator};
 use spmv_matrix::{Format, Precision, SparseMatrix};
-use spmv_ml::{accuracy, stratified_split, Classifier, GbtClassifier, GbtParams};
+use spmv_ml::{accuracy, stratified_split, Classifier};
 
+use crate::classify::xgboost;
 use crate::dataset::ClassificationTask;
 use crate::env::Env;
 use crate::experiments::{ExperimentConfig, ExperimentResult};
 use crate::labels::LabeledCorpus;
 use crate::report::{pct, render_table};
-
-fn xgb(budget: crate::classify::SearchBudget) -> GbtClassifier {
-    GbtClassifier::new(GbtParams {
-        n_estimators: match budget {
-            crate::classify::SearchBudget::Quick => 60,
-            crate::classify::SearchBudget::Paper => 200,
-        },
-        max_depth: 6,
-        learning_rate: 0.1,
-        ..GbtParams::default()
-    })
-}
 
 /// Extension 1: train on one environment's labels, evaluate on another's
 /// (same matrices, same held-out split). The diagonal is the usual
@@ -53,7 +42,7 @@ pub fn ext_cross_arch(corpus: &LabeledCorpus, cfg: &ExperimentConfig) -> Experim
         let tt = &tasks[ti];
         let x_train = tt.x.select_rows(&split.train);
         let y_train = spmv_ml::gather(&tt.y, &split.train);
-        let mut model = xgb(cfg.budget);
+        let mut model = xgboost(cfg.budget);
         model.fit(&x_train, &y_train, all.len());
         let mut cells = vec![train_env.label()];
         for te in &tasks {
@@ -94,7 +83,7 @@ pub fn ext_bucket_accuracy(corpus: &LabeledCorpus, cfg: &ExperimentConfig) -> Ex
         .map(|r| (r.name.as_str(), r.bucket))
         .collect();
     let split = stratified_split(&task.y, 0.2, cfg.split_seed);
-    let mut model = xgb(cfg.budget);
+    let mut model = xgboost(cfg.budget);
     model.fit(
         &task.x.select_rows(&split.train),
         &spmv_ml::gather(&task.y, &split.train),

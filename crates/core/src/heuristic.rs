@@ -59,7 +59,7 @@ impl HeuristicAdvisor {
     /// arrive as a bare feature vector, where no matrix exists to scan.
     ///
     /// Agrees with the matrix path on any vector produced by
-    /// [`spmv_features::extract`]: both plug the same three statistics into
+    /// [`spmv_features::extract()`]: both plug the same three statistics into
     /// the same rules.
     pub fn recommend_features(&self, fv: &FeatureVector) -> Recommendation {
         let n_rows = fv.get(FeatureId::NRows);

@@ -585,7 +585,7 @@ impl LabeledCorpus {
         Self::collect_with(suite, sim, threads, &FaultPlan::none())
     }
 
-    /// [`LabeledCorpus::collect`] under a fault plan (see [`collect_by`]
+    /// [`LabeledCorpus::collect`] under a fault plan (see `collect_by`
     /// for how failures degrade). With `FaultPlan::none()` the result is
     /// identical to a plain `collect`.
     pub fn collect_with(

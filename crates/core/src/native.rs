@@ -11,7 +11,7 @@
 //! ([`spmv_exec::ExecMode::Synthetic`], CI replay). Fault sites are keyed
 //! as on the simulator path. Collection, worker-panic containment and the
 //! cache check are the simulator's own: this module supplies only the
-//! per-matrix measure, as a [`Measurer`] for the shared loop in
+//! per-matrix measure, as a `Measurer` for the shared loop in
 //! [`crate::labels`], so every downstream consumer (tasks, advisors,
 //! experiments) works on a native corpus unchanged.
 

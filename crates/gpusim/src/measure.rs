@@ -80,7 +80,7 @@ impl Simulator {
     /// [`Simulator::measure_profile`] generalized over the operation: the
     /// base time comes from [`predict_op_seconds`] and the GFLOPS from the
     /// op's useful work, while the jitter stream is the *same*
-    /// [`Simulator::sample`] path seeded identically — `SpOp::Spmv` (and
+    /// `Simulator::sample` path seeded identically — `SpOp::Spmv` (and
     /// the degenerate `Spmm { k: 1 }` / `Solver { iters: 1 }`) therefore
     /// reproduce `measure_profile` bit-for-bit. The operation is
     /// deliberately not folded into `seed`: that identity is what the
@@ -133,7 +133,7 @@ impl Simulator {
     /// Measure an SpGEMM under one dataflow: the base time comes from the
     /// dataflow cost model over the symbolic profile, the useful work is
     /// the profile's multiply+add count, and the jitter stream is the
-    /// *same* [`Simulator::sample`] path as every SpMV-family measurement
+    /// *same* `Simulator::sample` path as every SpMV-family measurement
     /// — seed with [`spgemm_cell_seed`] so dataflow cells draw jitter
     /// independent of the format cells of the same matrix.
     pub fn measure_spgemm(

@@ -141,7 +141,7 @@ pub struct SpgemmProfile {
     pub ub_total: f64,
     /// Sampled compression estimate (`flops / nnz(C)`, >= 1).
     pub compression: f64,
-    /// Sampled upper-bound tightness (`nnz / ub` on the sample, in [0,1]).
+    /// Sampled upper-bound tightness (`nnz / ub` on the sample, in `[0, 1]`).
     pub tightness: f64,
     /// Ratio-estimated `nnz(C)`, clamped by the exact upper bound.
     pub est_nnz: f64,

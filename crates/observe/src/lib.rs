@@ -194,7 +194,7 @@ pub fn set_timing_info(key: &str, value: &str) {
     s.timing_info.insert(key.to_string(), value.to_string());
 }
 
-/// RAII span guard: created by [`span`], records its wall time on drop.
+/// RAII span guard: created by [`span()`], records its wall time on drop.
 /// When the tracer is disabled this is a no-op carrying no data.
 pub struct Span(Option<SpanStart>);
 
@@ -204,7 +204,7 @@ struct SpanStart {
 }
 
 impl Span {
-    /// A span that records nothing (what [`span`] returns when disabled).
+    /// A span that records nothing (what [`span()`] returns when disabled).
     pub const fn disabled() -> Self {
         Span(None)
     }

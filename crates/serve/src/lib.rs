@@ -32,8 +32,6 @@
 //!   request content in key-hash shards (fixed count, deliberately not
 //!   tied to the worker shard count); concurrent identical requests
 //!   collapse to one model pass.
-//! - **Micro-batching** ([`batch`]) — feature-vector requests queue into
-//!   a leader–follower batcher that drains them through one batch call.
 //! - **Observability** — every stage runs under `spmv-observe` spans and
 //!   counters chosen so the manifest's deterministic section is a pure
 //!   function of the request mix at any shard count and any keep-alive
@@ -45,7 +43,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod batch;
 pub mod cache;
 // The epoll FFI is the crate's only `unsafe`; every block in the module
 // states why the call is sound.
@@ -64,13 +61,12 @@ use std::time::Duration;
 
 use spmv_core::{
     AdvisorHandle, FeedbackEvent, FeedbackOutcome, Generation, OnlineAdvisor, OnlineConfig,
-    RecommendationSource,
+    RecommendResponse, RecommendationSource,
 };
 use spmv_features::{FeatureVector, FEATURE_COUNT};
 use spmv_matrix::Format;
 
-use crate::batch::Batcher;
-use crate::cache::{CacheKey, Lookup, ResponseCache};
+use crate::cache::{CacheKey, Lookup, Reservation, ResponseCache};
 use crate::event::ShardStats;
 use crate::http::{error_body, Limits, ProtocolError, Request};
 
@@ -78,12 +74,13 @@ use crate::http::{error_body, Limits, ProtocolError, Request};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see
-    /// [`ServerHandle::addr`] for the resolved one).
+    /// [`Server::addr`] for the resolved one).
     pub addr: String,
-    /// Worker threads handling requests.
+    /// Epoll shards: shared-nothing event-loop threads, each owning the
+    /// connections it accepted.
     pub workers: usize,
-    /// Accepted-but-unhandled connection slots; beyond this the acceptor
-    /// sheds load with `503`.
+    /// Admission budget per shard: each shard holds up to
+    /// `queue_depth + 1` connections and answers `503` past that.
     pub queue_depth: usize,
     /// Completed responses retained by the content cache (0 disables).
     pub cache_capacity: usize,
@@ -93,15 +90,13 @@ pub struct ServerConfig {
     /// Hard cap on the request line + headers (bytes).
     pub max_header_bytes: usize,
     /// Socket read/write timeout per connection (ms); a stalled client
-    /// gets `408` instead of pinning a worker.
+    /// gets `408` instead of holding a connection slot.
     pub read_timeout_ms: u64,
-    /// Most feature-vector jobs drained per model pass.
-    pub max_batch: usize,
     /// Artificial per-request handling delay (ms). Zero in production;
     /// tests use it to make queue saturation reproducible.
     pub handler_delay_ms: u64,
     /// Whether `POST /admin/shutdown` is routed (the binary enables it;
-    /// embedded tests usually prefer [`ServerHandle::shutdown`]).
+    /// embedded tests usually prefer [`Server::shutdown`]).
     pub enable_admin_shutdown: bool,
     /// Most requests served over one keep-alive connection before the
     /// server closes it (`1` degrades to a pure one-shot server).
@@ -124,7 +119,6 @@ impl Default for ServerConfig {
             max_body_bytes: 8 * 1024 * 1024,
             max_header_bytes: 16 * 1024,
             read_timeout_ms: 5_000,
-            max_batch: 8,
             handler_delay_ms: 0,
             enable_admin_shutdown: false,
             keep_alive_max_requests: 1024,
@@ -137,11 +131,10 @@ impl Default for ServerConfig {
 struct Shared {
     online: OnlineAdvisor,
     cache: ResponseCache,
-    batcher: Batcher,
     config: ServerConfig,
     limits: Limits,
-    /// Set when the server should stop accepting; the acceptor re-checks
-    /// it after every `accept` returns.
+    /// Set when the server should stop accepting; every shard re-checks
+    /// it once per epoll tick.
     stop: AtomicBool,
     /// Set by `POST /admin/shutdown`; the binary polls it.
     shutdown_requested: AtomicBool,
@@ -169,7 +162,6 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             cache: ResponseCache::new(config.cache_capacity),
-            batcher: Batcher::new(config.max_batch),
             online: OnlineAdvisor::new(handle, config.online.clone()),
             limits,
             stop: AtomicBool::new(false),
@@ -486,25 +478,33 @@ fn scoped_key(generation: &Generation, namespace: u8, content_len: usize) -> Vec
     key
 }
 
-/// Post-response online accounting for one recommend miss: per-request
-/// heuristic fallbacks under a model generation feed the watchdog, and a
-/// shadow candidate (if one is scoring) is run on the same input.
-fn online_observe<F>(
+/// The tail of a recommend miss, shared by both body kinds: `answer` runs
+/// on the snapshot's advisor under the model span, per-request heuristic
+/// fallbacks under a model generation feed the watchdog, a shadow
+/// candidate (if one is scoring) answers the same input through the same
+/// `answer`, and the rendered response fills the cache reservation.
+fn answer_miss(
     shared: &Shared,
-    snapshot: &Arc<Generation>,
-    response: &spmv_core::RecommendResponse,
-    candidate_format: F,
-) where
-    F: FnOnce(&Generation) -> Format,
-{
+    snapshot: &Generation,
+    reservation: Reservation<'_>,
+    answer: impl Fn(&AdvisorHandle) -> RecommendResponse,
+) -> Routed {
+    let response = {
+        let _span = spmv_observe::span("serve/request/model");
+        answer(&snapshot.handle)
+    };
     if snapshot.handle.mode() == "model" && response.source == RecommendationSource::Heuristic {
         shared.online.note_fallback(snapshot.number);
     }
     if let Some(candidate) = shared.online.shadow_candidate() {
         let _span = spmv_observe::span("serve/request/shadow");
-        let format = candidate_format(&candidate);
+        let format = answer(&candidate.handle).format;
         shared.online.record_shadow(response.format, format);
     }
+    let mut bytes = response.to_json().into_bytes();
+    bytes.push(b'\n');
+    reservation.fulfill(Arc::new(bytes.clone()));
+    ok_json(bytes)
 }
 
 /// The response cache lookup (and any single-flight wait), under its span.
@@ -547,20 +547,9 @@ fn recommend_matrix(shared: &Shared, body: &[u8]) -> Routed {
                     );
                 }
             };
-            let response = {
-                let _span = spmv_observe::span("serve/request/model");
-                snapshot.handle.recommend_structure(pattern.structure())
-            };
-            online_observe(shared, &snapshot, &response, |candidate| {
-                candidate
-                    .handle
-                    .recommend_structure(pattern.structure())
-                    .format
-            });
-            let mut bytes = response.to_json().into_bytes();
-            bytes.push(b'\n');
-            reservation.fulfill(Arc::new(bytes.clone()));
-            ok_json(bytes)
+            answer_miss(shared, &snapshot, reservation, |handle| {
+                handle.recommend_structure(pattern.structure())
+            })
         }
     }
 }
@@ -616,19 +605,9 @@ fn recommend_features(shared: &Shared, body: &[u8]) -> Routed {
     };
     match lookup(shared, key) {
         Lookup::Hit(bytes) => ok_json(bytes.to_vec()),
-        Lookup::Miss(reservation) => {
-            let response = {
-                let _span = spmv_observe::span("serve/request/model");
-                shared.batcher.submit(&snapshot, fv.clone())
-            };
-            online_observe(shared, &snapshot, &response, |candidate| {
-                candidate.handle.recommend_features(&fv).format
-            });
-            let mut bytes = response.to_json().into_bytes();
-            bytes.push(b'\n');
-            reservation.fulfill(Arc::new(bytes.clone()));
-            ok_json(bytes)
-        }
+        Lookup::Miss(reservation) => answer_miss(shared, &snapshot, reservation, |handle| {
+            handle.recommend_features(&fv)
+        }),
     }
 }
 
