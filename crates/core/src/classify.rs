@@ -59,9 +59,9 @@ pub enum SearchBudget {
 }
 
 /// The deployed XGBoost recipe: depth 6, learning rate 0.1, and 60
-/// (`Quick`) or 200 (`Paper`) boosting rounds. Every trained advisor and
-/// the extension studies fit this one configuration; only the accuracy
-/// tables grid-search their own.
+/// (`Quick`) or 200 (`Paper`) boosting rounds. Every trained advisor, the
+/// extension studies and the cross-scenario unified classifier fit this
+/// one configuration; only the accuracy tables grid-search their own.
 pub(crate) fn xgboost(budget: SearchBudget) -> GbtClassifier {
     GbtClassifier::new(GbtParams {
         n_estimators: match budget {
