@@ -2,11 +2,23 @@
 //! format-selection-shaped dataset. Backs the paper's conclusion that
 //! "relatively inexpensive ML algorithms" suffice — inference is the number
 //! that matters for deployment at matrix-load time.
+//!
+//! The `time_predictor` group times the advisor's MLP-ensemble time model
+//! on the committed Tiny labels (P100, double, quick budget — the artifact
+//! the serving benchmark trains): `train_tiny` is the regressor half of
+//! `FormatAdvisor::train`, and `predict_6_formats` is the six-format query
+//! every model-backed recommend runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use spmv_core::{
+    train_time_predictor, Env, FormatAdvisor, LabeledCorpus, RegModelKind, RegressionTask,
+    SearchBudget,
+};
+use spmv_features::FeatureSet;
+use spmv_matrix::{Format, Precision};
 use spmv_ml::{
     Classifier, DecisionTreeClassifier, FeatureMatrix, GbtClassifier, GbtParams, MlpClassifier,
     MlpParams, SvmClassifier, SvmParams, TreeParams,
@@ -104,9 +116,42 @@ fn bench_inference(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_time_predictor(c: &mut Criterion) {
+    let labels =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/labels_tiny.json");
+    let corpus = LabeledCorpus::load(&labels).expect("committed Tiny labels");
+    let env = Env {
+        arch_idx: 1,
+        precision: Precision::Double,
+    };
+    let advisor = FormatAdvisor::train(&corpus, env, SearchBudget::Quick);
+    let task = RegressionTask::build(&corpus, env, &Format::ALL, FeatureSet::Important);
+    let all: Vec<usize> = (0..task.len()).collect();
+
+    let mut group = c.benchmark_group("time_predictor");
+    group.sample_size(2000);
+    let mut next = corpus.records.iter().map(|r| &r.features).cycle();
+    group.bench_function("predict_6_formats", |b| {
+        b.iter(|| advisor.predict_times_features(next.next().expect("non-empty corpus")))
+    });
+    group.sample_size(10);
+    group.bench_function("train_tiny", |b| {
+        b.iter(|| {
+            train_time_predictor(
+                RegModelKind::MlpEnsemble,
+                &task,
+                &all,
+                SearchBudget::Quick,
+                corpus.suite_seed,
+            )
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_training, bench_inference
+    targets = bench_training, bench_inference, bench_time_predictor
 }
 criterion_main!(benches);

@@ -20,7 +20,7 @@
 
 use spmv_features::{extract, FeatureSet, FeatureVector};
 use spmv_matrix::{CsrMatrix, Format, Scalar};
-use spmv_ml::{Classifier, GbtClassifier};
+use spmv_ml::{Classifier, FeatureMatrix, GbtClassifier};
 
 use crate::classify::{xgboost, SearchBudget};
 use crate::dataset::{ClassificationTask, RegressionTask};
@@ -668,19 +668,20 @@ impl FormatAdvisor {
         Ok(out)
     }
 
+    /// The time model's answer for every format: the input row with each
+    /// format's one-hot appended, all six rows in one batch.
     fn raw_times_from(&self, fv: &FeatureVector) -> Vec<(Format, f64)> {
         let base = self.input_row(fv);
-        self.formats
-            .iter()
-            .enumerate()
-            .map(|(k, &f)| {
-                let mut row = base.clone();
-                for j in 0..self.formats.len() {
-                    row.push(if j == k { 1.0 } else { 0.0 });
-                }
-                (f, self.predictor.predict_row(&row))
-            })
-            .collect()
+        let n = self.formats.len();
+        let mut rows = Vec::with_capacity(n * (base.len() + n));
+        for k in 0..n {
+            rows.extend_from_slice(&base);
+            rows.extend((0..n).map(|j| if j == k { 1.0 } else { 0.0 }));
+        }
+        let times = self
+            .predictor
+            .predict_rows(FeatureMatrix::from_flat(rows, n, base.len() + n));
+        self.formats.iter().copied().zip(times).collect()
     }
 
     /// Indirect recommendation: the format with the fastest predicted

@@ -147,10 +147,24 @@ impl AdvisorHandle {
     /// the answer matches [`FormatAdvisor::recommend`] +
     /// [`FormatAdvisor::predict_times`] bit for bit.
     pub fn recommend_structure(&self, structure: CsrStructure<'_>) -> RecommendResponse {
+        self.recommend_structure_with_features(structure).0
+    }
+
+    /// [`AdvisorHandle::recommend_structure`], also handing back the
+    /// feature vector the model read (`None` when the heuristic answered
+    /// from the structure), so a caller can put the same input to a second
+    /// advisor without extracting it again.
+    pub fn recommend_structure_with_features(
+        &self,
+        structure: CsrStructure<'_>,
+    ) -> (RecommendResponse, Option<FeatureVector>) {
         match &self.backend {
-            AdvisorBackend::Model(_) => self.recommend_features(&extract(structure)),
+            AdvisorBackend::Model(_) => {
+                let fv = extract(structure);
+                (self.recommend_features(&fv), Some(fv))
+            }
             AdvisorBackend::Heuristic { .. } => {
-                respond(HeuristicAdvisor.recommend(structure), None)
+                (respond(HeuristicAdvisor.recommend(structure), None), None)
             }
         }
     }
@@ -165,6 +179,16 @@ impl AdvisorHandle {
             AdvisorBackend::Heuristic { .. } => {
                 respond(HeuristicAdvisor.recommend_features(fv), None)
             }
+        }
+    }
+
+    /// The format [`AdvisorHandle::recommend_features`] answers for `fv`,
+    /// from the classifier alone: the time model's predictions do not
+    /// change the pick, so the online shadow canary skips them.
+    pub fn classify_features(&self, fv: &FeatureVector) -> Format {
+        match &self.backend {
+            AdvisorBackend::Model(a) => a.recommend_features(fv).format,
+            AdvisorBackend::Heuristic { .. } => HeuristicAdvisor.recommend_features(fv).format,
         }
     }
 }

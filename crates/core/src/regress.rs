@@ -62,10 +62,10 @@ pub enum TimeModel {
 }
 
 impl TimeModel {
-    fn predict_one(&self, row: &[f64]) -> f64 {
+    fn predict(&self, x: &FeatureMatrix) -> Vec<f64> {
         match self {
-            TimeModel::Mlp(m) => m.predict_one(row),
-            TimeModel::MlpEnsemble(m) => m.predict_one(row),
+            TimeModel::Mlp(m) => m.predict(x),
+            TimeModel::MlpEnsemble(m) => m.predict(x),
         }
     }
 }
@@ -81,13 +81,31 @@ pub struct TimePredictor {
 impl TimePredictor {
     /// Predict the time (seconds) for one raw feature row.
     pub fn predict_row(&self, raw_row: &[f64]) -> f64 {
-        let row: Vec<f64> = raw_row
-            .iter()
-            .map(|v| v.signum() * (1.0 + v.abs()).ln())
-            .collect();
-        let scaled = self.scaler.transform_row(&row);
-        self.model.predict_one(&scaled).exp()
+        self.predict_rows(FeatureMatrix::from_flat(raw_row.to_vec(), 1, raw_row.len()))[0]
     }
+
+    /// Predict the time (seconds) for every raw feature row of `rows`, in
+    /// one batched pass per ensemble member. Entry `r` equals
+    /// [`TimePredictor::predict_row`] of row `r` bit for bit.
+    pub fn predict_rows(&self, mut rows: FeatureMatrix) -> Vec<f64> {
+        for i in 0..rows.n_rows() {
+            for j in 0..rows.n_cols() {
+                let v = rows.get_mut(i, j);
+                *v = log_compress(*v);
+            }
+        }
+        self.scaler.transform(&mut rows);
+        let mut times = self.model.predict(&rows);
+        for t in &mut times {
+            *t = t.exp();
+        }
+        times
+    }
+}
+
+/// The log compression every feature goes through before scaling.
+fn log_compress(v: f64) -> f64 {
+    v.signum() * (1.0 + v.abs()).ln()
 }
 
 fn mlp_params(budget: SearchBudget, seed: u64) -> MlpParams {
@@ -104,12 +122,7 @@ fn mlp_params(budget: SearchBudget, seed: u64) -> MlpParams {
 /// Log-compress + standardize the feature matrix for MLP training.
 fn preprocess(x: &FeatureMatrix) -> (FeatureMatrix, StandardScaler) {
     let rows: Vec<Vec<f64>> = (0..x.n_rows())
-        .map(|i| {
-            x.row(i)
-                .iter()
-                .map(|v| v.signum() * (1.0 + v.abs()).ln())
-                .collect()
-        })
+        .map(|i| x.row(i).iter().copied().map(log_compress).collect())
         .collect();
     let mut m = FeatureMatrix::from_rows(&rows);
     let scaler = StandardScaler::fit_transform(&mut m);
@@ -173,10 +186,7 @@ pub fn evaluate_regressor(
     let (train_idx, test_idx) = record_split(task, 0.2, split_seed);
     let predictor = train_time_predictor(kind, task, &train_idx, budget, split_seed);
 
-    let predictions: Vec<f64> = test_idx
-        .iter()
-        .map(|&i| predictor.predict_row(task.x.row(i)))
-        .collect();
+    let predictions = predictor.predict_rows(task.x.select_rows(&test_idx));
     let measured: Vec<f64> = test_idx.iter().map(|&i| task.y[i]).collect();
     let rme = relative_mean_error(&predictions, &measured);
 

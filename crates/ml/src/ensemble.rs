@@ -6,7 +6,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::data::FeatureMatrix;
-use crate::mlp::{MlpClassifier, MlpParams, MlpRegressor};
+use crate::mlp::{MlpClassifier, MlpParams, MlpRegressor, Scratch};
 use crate::model::{Classifier, Regressor};
 
 /// Ensemble of MLP classifiers (averaged softmax outputs).
@@ -112,6 +112,27 @@ impl Regressor for MlpEnsembleRegressor {
         }
         self.members.iter().map(|m| m.predict_one(row)).sum::<f64>() / self.members.len() as f64
     }
+
+    /// Each member predicts every row in one batched pass (all on one
+    /// scratch); each row's member sum runs in member order from `-0.0`,
+    /// like `predict_one`'s `sum`, so the two agree bit for bit.
+    fn predict(&self, x: &FeatureMatrix) -> Vec<f64> {
+        if self.members.is_empty() {
+            return vec![0.0; x.n_rows()];
+        }
+        let mut acc = vec![-0.0; x.n_rows()];
+        let mut scratch = Scratch::default();
+        for m in &self.members {
+            let mut sums = acc.iter_mut();
+            m.predict_with(x, &mut scratch, |y| {
+                if let Some(a) = sums.next() {
+                    *a += y;
+                }
+            });
+        }
+        let k = self.members.len() as f64;
+        acc.iter().map(|a| a / k).collect()
+    }
 }
 
 #[cfg(test)]
@@ -177,6 +198,22 @@ mod tests {
             ens_err <= worst * 1.05,
             "ens {ens_err} vs worst member {worst}"
         );
+    }
+
+    #[test]
+    fn batched_predict_matches_predict_one_bit_for_bit() {
+        let rows: Vec<Vec<f64>> = (0..70)
+            .map(|i| vec![i as f64 / 7.0, (i % 5) as f64])
+            .collect();
+        let y: Vec<f64> = rows.iter().map(|r| r[0].sin() + r[1]).collect();
+        let x = FeatureMatrix::from_rows(&rows);
+        let mut ens = MlpEnsembleRegressor::new(params(), 3);
+        ens.fit(&x, &y);
+        let batched: Vec<u64> = ens.predict(&x).iter().map(|v| v.to_bits()).collect();
+        let single: Vec<u64> = (0..x.n_rows())
+            .map(|i| ens.predict_one(x.row(i)).to_bits())
+            .collect();
+        assert_eq!(batched, single);
     }
 
     #[test]

@@ -31,12 +31,15 @@
 //!
 //! ## Collision safety
 //!
-//! Slots are found by a 64-bit content hash *and then* full-key
-//! comparison; two keys that collide in the hash coexist as separate
-//! slots and never alias each other's responses. The hash is computed
-//! once per request, by [`ResponseCache::key`]; a reservation finds its
-//! slot again by the slot's insertion tick, so the key's bytes are moved
-//! into the cache and never copied.
+//! Slots are found by a 64-bit key hash *and then* full-key comparison;
+//! two keys that collide in the hash coexist as separate slots and never
+//! alias each other's responses. A key is a scope (the model generation
+//! and a namespace byte) plus the content; the hash is computed once per
+//! request, by [`ResponseCache::scoped_key`], from the content's hash and
+//! the scope. A reservation finds its slot again by the slot's insertion
+//! tick. The content is shared, not copied: a server hands over the
+//! request body itself in an `Arc`, so the slot and the request's parse
+//! read the same bytes.
 //!
 //! Lookup is a linear scan over the shard's slot vector — deliberately:
 //! per-shard capacity is a handful-to-hundreds knob, the scan is
@@ -52,21 +55,14 @@ use std::sync::{Arc, Condvar, Mutex};
 /// (including eviction under pressure) never varies with `--workers`.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// Content hash of a key, eight bytes at a time: each little-endian word
-/// (the tail zero-padded) is folded in with a rotate, xor and multiply,
-/// then the length is mixed in so that padding cannot alias, and murmur3's
-/// 64-bit finalizer spreads every input bit over the high bits that
-/// [`ResponseCache::shard_of`] reads. Bodies are a few hundred kilobytes,
-/// so a byte-at-a-time hash costs as much as parsing a small one.
-fn content_hash(bytes: &[u8]) -> u64 {
-    let step = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    let (words, tail) = bytes.as_chunks::<8>();
-    let mut h = words.iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
-        step(h, u64::from_le_bytes(*w))
-    });
-    let mut last = [0u8; 8];
-    last[..tail.len()].copy_from_slice(tail);
-    h = step(step(h, u64::from_le_bytes(last)), bytes.len() as u64);
+/// One fold step: rotate, xor in a little-endian word, multiply.
+fn step(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// murmur3's 64-bit finalizer: spreads every input bit over the high
+/// bits that [`ResponseCache::shard_of`] reads.
+fn fmix(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
@@ -74,16 +70,55 @@ fn content_hash(bytes: &[u8]) -> u64 {
     h ^ (h >> 33)
 }
 
-/// A request's cache key: its content and the content's hash, made by
-/// [`ResponseCache::key`].
+/// Content hash of a key body. Four independent lanes each fold in every
+/// fourth 8-byte little-endian word, so four multiply chains run side by
+/// side; the lanes, the remaining words (the tail zero-padded) and the
+/// length (so padding cannot alias) are then folded into one. Bodies are
+/// a few hundred kilobytes, so a serial hash costs as much as parsing a
+/// small one.
+fn content_hash(bytes: &[u8]) -> u64 {
+    let (blocks, rest) = bytes.as_chunks::<32>();
+    let mut lanes: [u64; 4] = [
+        0xcbf2_9ce4_8422_2325,
+        0x9e37_79b9_7f4a_7c15,
+        0xbf58_476d_1ce4_e5b9,
+        0x94d0_49bb_1331_11eb,
+    ];
+    for block in blocks {
+        let (words, _) = block.as_chunks::<8>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = step(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    let (words, tail) = rest.as_chunks::<8>();
+    let mut h = lanes.into_iter().fold(0, step);
+    h = words.iter().fold(h, |h, w| step(h, u64::from_le_bytes(*w)));
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    fmix(step(step(h, u64::from_le_bytes(last)), bytes.len() as u64))
+}
+
+/// The scope a key is looked up in: the model generation that answers it
+/// and a namespace byte that keeps request kinds apart.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Scope {
+    generation: u64,
+    namespace: u8,
+}
+
+/// A request's cache key: its scope, its content, and their hash, made by
+/// [`ResponseCache::scoped_key`] (or [`ResponseCache::key`] for the empty
+/// scope).
 pub struct CacheKey {
     hash: u64,
-    bytes: Vec<u8>,
+    scope: Scope,
+    content: Arc<Vec<u8>>,
 }
 
 struct Slot {
     hash: u64,
-    key: Vec<u8>,
+    scope: Scope,
+    content: Arc<Vec<u8>>,
     /// The shard tick at insertion: unique within the shard, it is how a
     /// reservation finds its pending slot.
     id: u64,
@@ -98,10 +133,10 @@ struct Inner {
 }
 
 impl Inner {
-    fn position(&self, hash: u64, key: &[u8]) -> Option<usize> {
+    fn position(&self, hash: u64, scope: Scope, content: &[u8]) -> Option<usize> {
         self.slots
             .iter()
-            .position(|s| s.hash == hash && s.key == key)
+            .position(|s| s.hash == hash && s.scope == scope && s.content[..] == *content)
     }
 
     fn position_of(&self, id: u64) -> Option<usize> {
@@ -262,12 +297,32 @@ impl ResponseCache {
         &self.shards[idx]
     }
 
-    /// Hash `bytes` into a lookup key.
+    /// Hash `bytes` into a lookup key in the empty scope (generation 0,
+    /// namespace 0).
     pub fn key(&self, bytes: Vec<u8>) -> CacheKey {
+        self.scoped_key(0, 0, Arc::new(bytes))
+    }
+
+    /// A lookup key for `content` in the scope of model `generation` and
+    /// `namespace`: keys differing in either never match, so a hot-swap
+    /// changes every key. The content is hashed once, here, and shared
+    /// with the slot rather than copied.
+    pub fn scoped_key(&self, generation: u64, namespace: u8, content: Arc<Vec<u8>>) -> CacheKey {
+        let scope = Scope {
+            generation,
+            namespace,
+        };
         CacheKey {
-            hash: (self.hasher)(&bytes),
-            bytes,
+            hash: self.hash(scope, &content),
+            scope,
+            content,
         }
+    }
+
+    /// The key hash: the content's hash with the scope folded in.
+    fn hash(&self, scope: Scope, content: &[u8]) -> u64 {
+        let h = step((self.hasher)(content), scope.generation);
+        fmix(step(h, u64::from(scope.namespace)))
     }
 
     /// Look `key` up; either return the (possibly awaited) response bytes
@@ -281,11 +336,15 @@ impl ResponseCache {
                 id: 0,
             });
         }
-        let CacheKey { hash, bytes } = key;
+        let CacheKey {
+            hash,
+            scope,
+            content,
+        } = key;
         let shard = self.shard_of(hash);
         let mut inner = shard.lock();
         loop {
-            match inner.position(hash, &bytes) {
+            match inner.position(hash, scope, &content) {
                 Some(idx) if inner.slots[idx].value.is_some() => {
                     inner.touch(idx);
                     let value = match &inner.slots[idx].value {
@@ -308,7 +367,8 @@ impl ResponseCache {
                     let id = inner.tick;
                     inner.slots.push(Slot {
                         hash,
-                        key: bytes,
+                        scope,
+                        content,
                         id,
                         value: None,
                         last_used: id,
@@ -324,17 +384,21 @@ impl ResponseCache {
         }
     }
 
-    /// Whether a *completed* entry for `key` is resident (no recency bump,
-    /// no counters). Test/introspection helper.
+    /// Whether a *completed* entry for `key` (in the empty scope) is
+    /// resident (no recency bump, no counters). Test/introspection helper.
     pub fn contains(&self, key: &[u8]) -> bool {
         if self.disabled {
             return false;
         }
-        let hash = (self.hasher)(key);
+        let scope = Scope {
+            generation: 0,
+            namespace: 0,
+        };
+        let hash = self.hash(scope, key);
         let shard = self.shard_of(hash);
         let inner = shard.lock();
         inner
-            .position(hash, key)
+            .position(hash, scope, key)
             .is_some_and(|idx| inner.slots[idx].value.is_some())
     }
 

@@ -219,9 +219,9 @@ impl Conn {
             }
             match parse_request(&self.inbuf, &shared.limits) {
                 Ok(Parse::Partial) => break,
-                Ok(Parse::Done(request, used)) => {
+                Ok(Parse::Done(mut request, used)) => {
                     self.inbuf.drain(..used);
-                    self.dispatch(shared, stats, &request);
+                    self.dispatch(shared, stats, &mut request);
                     dispatched += 1;
                 }
                 Err(err) => {
@@ -238,7 +238,7 @@ impl Conn {
     }
 
     /// Route one parsed request and append its response.
-    fn dispatch(&mut self, shared: &Shared, stats: &ShardStats, request: &Request) {
+    fn dispatch(&mut self, shared: &Shared, stats: &ShardStats, request: &mut Request) {
         if shared.config.handler_delay_ms > 0 {
             std::thread::sleep(Duration::from_millis(shared.config.handler_delay_ms));
         }

@@ -61,10 +61,10 @@ use std::time::Duration;
 
 use spmv_core::{
     AdvisorHandle, FeedbackEvent, FeedbackOutcome, Generation, OnlineAdvisor, OnlineConfig,
-    RecommendResponse, RecommendationSource,
+    RecommendationSource,
 };
-use spmv_features::{FeatureVector, FEATURE_COUNT};
-use spmv_matrix::Format;
+use spmv_features::{extract, FeatureVector, FEATURE_COUNT};
+use spmv_matrix::{CsrStructure, Format};
 
 use crate::cache::{CacheKey, Lookup, Reservation, ResponseCache};
 use crate::event::ShardStats;
@@ -324,13 +324,13 @@ fn guarded(handler: impl FnOnce() -> Routed) -> (Routed, bool) {
     }
 }
 
-fn route(shared: &Shared, request: &Request) -> Routed {
+fn route(shared: &Shared, request: &mut Request) -> Routed {
     match (request.method.as_str(), request.target.as_str()) {
         #[cfg(test)]
         ("POST", "/test/panic") => panic!("a handler bug"),
         ("GET", "/healthz") => healthz(shared),
         ("GET", "/statz") => statz(shared),
-        ("POST", "/v1/recommend") => recommend(shared, &request.body),
+        ("POST", "/v1/recommend") => recommend(shared, std::mem::take(&mut request.body)),
         ("POST", "/v1/feedback") => feedback(shared, &request.body),
         ("POST", "/admin/shutdown") if shared.config.enable_admin_shutdown => {
             shared.shutdown_requested.store(true, Ordering::SeqCst);
@@ -435,10 +435,10 @@ fn canary_sync(shared: &Shared) -> Routed {
 /// and compute on miss. Responses are cached only on success: a malformed
 /// body costs its sender a full parse every time, and never pollutes the
 /// cache.
-fn recommend(shared: &Shared, body: &[u8]) -> Routed {
-    let trimmed = trim_leading_ws(body);
+fn recommend(shared: &Shared, body: Vec<u8>) -> Routed {
+    let trimmed = trim_leading_ws(&body);
     if trimmed.starts_with(b"%%MatrixMarket") {
-        recommend_matrix(shared, body)
+        recommend_matrix(shared, Arc::new(body))
     } else if trimmed.first() == Some(&b'{') {
         recommend_features(shared, trimmed)
     } else {
@@ -467,38 +467,44 @@ fn ok_json(bytes: Vec<u8>) -> Routed {
     (200, "OK", "application/json", &[], bytes)
 }
 
-/// Generation-scoped cache key: the snapshot's generation number leads,
-/// then the namespace byte (`'m'`/`'f'`), then the content. A hot-swap
-/// therefore changes every key, so a cached answer from generation N can
-/// never be served as generation N+1's.
-fn scoped_key(generation: &Generation, namespace: u8, content_len: usize) -> Vec<u8> {
-    let mut key = Vec::with_capacity(9 + content_len);
-    key.extend_from_slice(&generation.number.to_le_bytes());
-    key.push(namespace);
-    key
+/// What a recommend miss is answered from.
+#[derive(Clone, Copy)]
+enum Query<'a> {
+    /// The structure of a parsed MatrixMarket body.
+    Structure(CsrStructure<'a>),
+    /// A client-extracted feature vector.
+    Features(&'a FeatureVector),
 }
 
-/// The tail of a recommend miss, shared by both body kinds: `answer` runs
-/// on the snapshot's advisor under the model span, per-request heuristic
-/// fallbacks under a model generation feed the watchdog, a shadow
-/// candidate (if one is scoring) answers the same input through the same
-/// `answer`, and the rendered response fills the cache reservation.
+/// The tail of a recommend miss, shared by both body kinds: the
+/// snapshot's advisor answers `query` under the model span, per-request
+/// heuristic fallbacks under a model generation feed the watchdog, a
+/// shadow candidate (if one is scoring) classifies the feature vector the
+/// answer read, and the rendered response fills the cache reservation.
 fn answer_miss(
     shared: &Shared,
     snapshot: &Generation,
     reservation: Reservation<'_>,
-    answer: impl Fn(&AdvisorHandle) -> RecommendResponse,
+    query: Query<'_>,
 ) -> Routed {
-    let response = {
+    let (response, features) = {
         let _span = spmv_observe::span("serve/request/model");
-        answer(&snapshot.handle)
+        match query {
+            Query::Structure(s) => snapshot.handle.recommend_structure_with_features(s),
+            Query::Features(fv) => (snapshot.handle.recommend_features(fv), None),
+        }
     };
     if snapshot.handle.mode() == "model" && response.source == RecommendationSource::Heuristic {
         shared.online.note_fallback(snapshot.number);
     }
     if let Some(candidate) = shared.online.shadow_candidate() {
         let _span = spmv_observe::span("serve/request/shadow");
-        let format = answer(&candidate.handle).format;
+        // The candidate's pick comes from its classifier alone, on the
+        // features the answer read: no second extraction, no time model.
+        let format = match (query, &features) {
+            (_, Some(fv)) | (Query::Features(fv), None) => candidate.handle.classify_features(fv),
+            (Query::Structure(s), None) => candidate.handle.classify_features(&extract(s)),
+        };
         shared.online.record_shadow(response.format, format);
     }
     let mut bytes = response.to_json().into_bytes();
@@ -513,17 +519,26 @@ fn lookup(shared: &Shared, key: CacheKey) -> Lookup<'_> {
     shared.cache.get_or_reserve(key)
 }
 
-fn recommend_matrix(shared: &Shared, body: &[u8]) -> Routed {
+/// A key in the scope of the request's generation snapshot: a hot-swap
+/// changes every key, so a cached answer from generation N can never be
+/// served as generation N+1's. The namespace byte (`'m'`/`'f'`) keeps a
+/// feature-vector key from aliasing a MatrixMarket body.
+fn scoped_key(
+    shared: &Shared,
+    snapshot: &Generation,
+    namespace: u8,
+    content: Arc<Vec<u8>>,
+) -> CacheKey {
+    let _span = spmv_observe::span("serve/request/cache_key");
+    shared.cache.scoped_key(snapshot.number, namespace, content)
+}
+
+fn recommend_matrix(shared: &Shared, body: Arc<Vec<u8>>) -> Routed {
     spmv_observe::counter("serve.recommend.matrix", 1);
     let snapshot = shared.online.snapshot();
-    // Key prefix separates the two request namespaces so a feature-vector
-    // key can never alias a MatrixMarket body.
-    let key = {
-        let _span = spmv_observe::span("serve/request/cache_key");
-        let mut key = scoped_key(&snapshot, b'm', body.len());
-        key.extend_from_slice(body);
-        shared.cache.key(key)
-    };
+    // The body itself is the key's content: shared with the cache slot,
+    // never copied.
+    let key = scoped_key(shared, &snapshot, b'm', Arc::clone(&body));
     match lookup(shared, key) {
         Lookup::Hit(bytes) => ok_json(bytes.to_vec()),
         Lookup::Miss(reservation) => {
@@ -531,7 +546,7 @@ fn recommend_matrix(shared: &Shared, body: &[u8]) -> Routed {
             // values are classified as zero or not and never converted.
             let parsed = {
                 let _span = spmv_observe::span("serve/request/parse");
-                spmv_matrix::mm::read_matrix_market_structure(body)
+                spmv_matrix::mm::read_matrix_market_structure(&body)
             };
             let pattern = match parsed {
                 Ok(m) => m,
@@ -547,9 +562,12 @@ fn recommend_matrix(shared: &Shared, body: &[u8]) -> Routed {
                     );
                 }
             };
-            answer_miss(shared, &snapshot, reservation, |handle| {
-                handle.recommend_structure(pattern.structure())
-            })
+            answer_miss(
+                shared,
+                &snapshot,
+                reservation,
+                Query::Structure(pattern.structure()),
+            )
         }
     }
 }
@@ -595,19 +613,16 @@ fn recommend_features(shared: &Shared, body: &[u8]) -> Routed {
     let snapshot = shared.online.snapshot();
     // Cache key: the 17 exact bit patterns (semantic identity — two
     // textually different JSON bodies with the same values share a key).
-    let key = {
-        let _span = spmv_observe::span("serve/request/cache_key");
-        let mut key = scoped_key(&snapshot, b'f', FEATURE_COUNT * 8);
-        for v in &parsed.features {
-            key.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        shared.cache.key(key)
-    };
+    let bits = parsed
+        .features
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes());
+    let key = scoped_key(shared, &snapshot, b'f', Arc::new(bits.collect()));
     match lookup(shared, key) {
         Lookup::Hit(bytes) => ok_json(bytes.to_vec()),
-        Lookup::Miss(reservation) => answer_miss(shared, &snapshot, reservation, |handle| {
-            handle.recommend_features(&fv)
-        }),
+        Lookup::Miss(reservation) => {
+            answer_miss(shared, &snapshot, reservation, Query::Features(&fv))
+        }
     }
 }
 

@@ -1,16 +1,19 @@
 //! Allocation audits.
 //!
-//! A counting `#[global_allocator]` proves two claims directly. Once a
+//! A counting `#[global_allocator]` proves three claims directly. Once a
 //! worker's [`StructureScratch`] is warm, deriving every format's
 //! value-free view and profiling it allocates **zero** heap blocks — no
-//! value plane, no per-format index copies, nothing. And the MatrixMarket
+//! value plane, no per-format index copies, nothing. The MatrixMarket
 //! reader makes the same number of allocations whatever the line count.
-//! The counter and its switch are per thread, so concurrent tests cannot
+//! And one model recommend allocates a pinned number of blocks. The
+//! counter and its switch are per thread, so concurrent tests cannot
 //! pollute each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use spmv_core::{AdvisorHandle, Env, FormatAdvisor, LabeledCorpus, SearchBudget};
+use spmv_features::extract;
 use spmv_gpusim::{Dataflow, KernelProfile, SpgemmProfile};
 use spmv_matrix::{
     mm, CsrMatrix, CsrStructure, Format, FormatStructure, Precision, RowStats, SpgemmOperand,
@@ -185,4 +188,29 @@ fn matrix_market_structure_reader_allocations_do_not_grow_with_the_line_count() 
     // arrays and row pointers. No value plane, and the body's row-major
     // order needs no sort keys.
     assert!(base <= 7, "{base} allocations");
+}
+
+#[test]
+fn warm_model_recommend_allocates_a_pinned_number_of_blocks() {
+    let labels =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/labels_tiny.json");
+    let corpus = LabeledCorpus::load(&labels).expect("committed Tiny labels");
+    let env = Env {
+        arch_idx: 1,
+        precision: Precision::Double,
+    };
+    let handle =
+        AdvisorHandle::from_advisor(FormatAdvisor::train(&corpus, env, SearchBudget::Quick));
+    let fv = extract(&banded(500, 4));
+    let warm = handle.recommend_features(&fv);
+    let n = allocations(|| handle.recommend_features(&fv));
+    assert_eq!(handle.recommend_features(&fv), warm);
+    // Classifier: the projected input row, the boosted scores and the
+    // probabilities (3). Time model: the projected row, the six one-hot
+    // rows as one matrix, the ensemble's sums and averages (4); one
+    // scratch shared by all five members — its plane list, the input and
+    // four layer planes, the output vector (7); the (format, time) pairs
+    // (1). Per-row or per-member buffers would make this grow with the
+    // formats or the ensemble size.
+    assert_eq!(n, 15, "one warm model recommend allocates {n} blocks");
 }
