@@ -15,7 +15,7 @@ use crate::classify::{evaluate_classifier, xgboost, xgboost_importance, ModelKin
 use crate::dataflow::{heuristic_dataflow, DataflowAdvisor};
 use crate::dataset::{ClassificationTask, RegressionTask};
 use crate::env::{Env, LabelEnvironment, Scenario};
-use crate::indirect::evaluate_indirect;
+use crate::indirect::indirect_picks;
 use crate::labels::{LabeledCorpus, MatrixRecord, N_FORMATS};
 use crate::regress::{evaluate_regressor, RegModelKind};
 use crate::report::{pct, render_bars, render_table};
@@ -823,57 +823,45 @@ pub fn fig7(corpus: &LabeledCorpus, cfg: &ExperimentConfig) -> ExperimentResult 
 /// at 0 % and 5 % tolerance, 6 formats, all environments.
 pub fn table14(corpus: &LabeledCorpus, cfg: &ExperimentConfig) -> ExperimentResult {
     let all: Vec<Format> = Format::ALL.to_vec();
-    // Three cells per environment: direct XGBoost, indirect at 0 % and at
-    // 5 % tolerance. The two indirect cells share one derived seed so both
-    // tolerances score the *same* trained regressor, as in the paper.
+    // Two cells per environment: direct XGBoost, and one trained regressor
+    // whose picks are scored at 0 % and at 5 % tolerance, as in the paper.
     let exec = Executor::new(cfg.threads);
-    let accs = exec.map(Env::ALL.len() * 3, |c| {
-        let env = Env::ALL[c / 3];
-        match c % 3 {
-            0 => {
-                let ctask =
-                    ClassificationTask::build(corpus, env, &all, FeatureSet::Important, true);
-                let seed = sweep_seed(
-                    cfg.split_seed,
-                    &["table14", &cfg.env.env_label(env), "XGBST"],
-                );
-                evaluate_classifier(
-                    &Executor::serial(),
-                    ModelKind::Xgboost,
-                    &ctask,
-                    seed,
-                    cfg.budget,
-                )
-                .accuracy
-            }
-            col => {
-                let rtask = RegressionTask::build(corpus, env, &all, FeatureSet::Important);
-                let seed = sweep_seed(
-                    cfg.split_seed,
-                    &["table14", &cfg.env.env_label(env), "indirect"],
-                );
-                let tolerance = if col == 1 { 0.0 } else { 0.05 };
-                evaluate_indirect(
-                    RegModelKind::MlpEnsemble,
-                    &rtask,
-                    seed,
-                    cfg.budget,
-                    tolerance,
-                )
-                .accuracy
-            }
+    let accs: Vec<Vec<f64>> = exec.map(Env::ALL.len() * 2, |c| {
+        let env = Env::ALL[c / 2];
+        if c % 2 == 0 {
+            let ctask = ClassificationTask::build(corpus, env, &all, FeatureSet::Important, true);
+            let seed = sweep_seed(
+                cfg.split_seed,
+                &["table14", &cfg.env.env_label(env), "XGBST"],
+            );
+            let out = evaluate_classifier(
+                &Executor::serial(),
+                ModelKind::Xgboost,
+                &ctask,
+                seed,
+                cfg.budget,
+            );
+            vec![out.accuracy]
+        } else {
+            let rtask = RegressionTask::build(corpus, env, &all, FeatureSet::Important);
+            let seed = sweep_seed(
+                cfg.split_seed,
+                &["table14", &cfg.env.env_label(env), "indirect"],
+            );
+            let picks = indirect_picks(RegModelKind::MlpEnsemble, &rtask, seed, cfg.budget);
+            vec![picks.accuracy(0.0), picks.accuracy(0.05)]
         }
     });
     let rows: Vec<Vec<String>> = Env::ALL
         .into_iter()
-        .zip(accs.chunks(3))
+        .zip(accs.chunks(2))
         .map(|(env, a)| {
             vec![
                 cfg.env.arch_name(env.arch_idx).to_string(),
                 env.precision.label().to_string(),
-                pct(a[0]),
-                pct(a[1]),
-                pct(a[2]),
+                pct(a[0][0]),
+                pct(a[1][0]),
+                pct(a[1][1]),
             ]
         })
         .collect();
@@ -994,53 +982,19 @@ pub fn exec_divergence(
 /// the deployment metric (a wrong pick that is 2% slower matters less
 /// than one that is 2x slower), alongside plain pick accuracy.
 pub fn exec_oracle(corpus: &LabeledCorpus, cfg: &ExperimentConfig) -> ExperimentResult {
-    let all: Vec<Format> = Format::ALL.to_vec();
-    let train = LabeledCorpus {
-        suite_seed: corpus.suite_seed,
-        model_version: corpus.model_version,
-        env_spec: corpus.env_spec.clone(),
-        records: corpus
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % 4 != 0)
-            .map(|(_, r)| r.clone())
-            .collect(),
-    };
-    let test: Vec<&MatrixRecord> = corpus
-        .records
-        .iter()
-        .enumerate()
-        .filter(|(i, r)| i % 4 == 0 && r.complete_for(&all))
-        .map(|(_, r)| r)
-        .collect();
+    let (train, test) = holdout(corpus, N_FORMATS);
     let mut rows = Vec::new();
     for env in Env::ALL {
         let advisor = FormatAdvisor::train(&train, env, cfg.budget);
-        let mut hits = 0usize;
-        let mut ratio_sum = 0.0f64;
-        let mut worst = 1.0f64;
-        for r in &test {
-            let pick = advisor.recommend_features(&r.features).format;
-            let ts = r.env_times(env);
-            let t_pick = ts[pick.class_id()].unwrap_or(f64::INFINITY);
-            let t_best = all
-                .iter()
-                .filter_map(|f| ts[f.class_id()])
-                .fold(f64::INFINITY, f64::min);
-            if r.best_format(env, &all) == Some(pick) {
-                hits += 1;
-            }
-            ratio_sum += t_best / t_pick;
-            worst = worst.max(t_pick / t_best);
-        }
-        let n = test.len().max(1) as f64;
+        let score = PickScore::of(&test, env, N_FORMATS, |r| {
+            advisor.recommend_features(&r.features).format.class_id()
+        });
         rows.push(vec![
             cfg.env.env_label(env),
             test.len().to_string(),
-            pct(hits as f64 / n),
-            format!("{:.1}%", 100.0 * ratio_sum / n),
-            format!("{worst:.2}x"),
+            pct(score.accuracy()),
+            score.oracle_cell(),
+            score.worst_cell(),
         ]);
     }
     let body = render_table(
@@ -1062,25 +1016,112 @@ pub fn exec_oracle(corpus: &LabeledCorpus, cfg: &ExperimentConfig) -> Experiment
 }
 
 // ---------------------------------------------------------------------------
-// Cross-scenario study: one unified advisor vs per-scenario experts
+// Held-out scoring shared by the native, cross-scenario and dataflow studies
 // ---------------------------------------------------------------------------
 
-/// The mod-4 holdout the native studies use, applied per scenario corpus:
-/// records with `i % 4 != 0` train, the rest (when complete) test.
-fn scenario_train_part(corpus: &LabeledCorpus) -> LabeledCorpus {
-    LabeledCorpus {
+/// The mod-4 holdout of every held-out study: records with `i % 4 != 0`
+/// train; the rest test when their first `n_slots` cells (formats in
+/// [`Format::ALL`] order, or dataflows) are measured in every environment.
+fn holdout(corpus: &LabeledCorpus, n_slots: usize) -> (LabeledCorpus, Vec<&MatrixRecord>) {
+    let (mut train, mut test) = (Vec::new(), Vec::new());
+    for (i, r) in corpus.records.iter().enumerate() {
+        if i % 4 != 0 {
+            train.push(r.clone());
+        } else if r.complete_slots(n_slots) {
+            test.push(r);
+        }
+    }
+    let train = LabeledCorpus {
         suite_seed: corpus.suite_seed,
         model_version: corpus.model_version,
         env_spec: corpus.env_spec.clone(),
-        records: corpus
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % 4 != 0)
-            .map(|(_, r)| r.clone())
-            .collect(),
+        records: train,
+    };
+    (train, test)
+}
+
+/// One picker scored against the oracle on held-out records in one
+/// environment: hits, the summed fraction of oracle throughput
+/// `t_best / t_pick`, and the worst slowdown `t_pick / t_best`.
+struct PickScore {
+    hits: usize,
+    ratio_sum: f64,
+    worst: f64,
+    n: f64,
+}
+
+impl PickScore {
+    /// Score `pick`, which maps a record to a slot in `0..n_slots`, over
+    /// `test` in order.
+    fn of(
+        test: &[&MatrixRecord],
+        env: Env,
+        n_slots: usize,
+        pick: impl Fn(&MatrixRecord) -> usize,
+    ) -> PickScore {
+        let mut score = PickScore {
+            hits: 0,
+            ratio_sum: 0.0,
+            worst: 1.0,
+            n: test.len().max(1) as f64,
+        };
+        for r in test {
+            let slot = pick(r);
+            if r.best_slot(env, n_slots) == Some(slot) {
+                score.hits += 1;
+            }
+            let ts = r.env_times(env);
+            let t_pick = ts[slot].unwrap_or(f64::INFINITY);
+            let t_best = ts[..n_slots]
+                .iter()
+                .flatten()
+                .fold(f64::INFINITY, |m, &t| m.min(t));
+            score.ratio_sum += t_best / t_pick;
+            score.worst = score.worst.max(t_pick / t_best);
+        }
+        score
+    }
+
+    fn accuracy(&self) -> f64 {
+        self.hits as f64 / self.n
+    }
+
+    fn oracle_cell(&self) -> String {
+        format!("{:.1}%", 100.0 * self.ratio_sum / self.n)
+    }
+
+    fn worst_cell(&self) -> String {
+        format!("{:.2}x", self.worst)
     }
 }
+
+/// The double-precision environments the scenario studies score.
+pub(crate) const DOUBLE_ENVS: [Env; 2] = [Env::ALL[1], Env::ALL[3]];
+
+/// One `(scenario, machine)` row of a held-out baseline-vs-model study.
+fn duel_row(
+    sc: Scenario,
+    env: Env,
+    n_test: usize,
+    base: &PickScore,
+    model: &PickScore,
+) -> Vec<String> {
+    let (b, m) = (base.accuracy(), model.accuracy());
+    vec![
+        sc.tag().to_string(),
+        sc.machines()[env.arch_idx].name.to_string(),
+        n_test.to_string(),
+        pct(b),
+        pct(m),
+        format!("{:+.1}pp", 100.0 * (m - b)),
+        model.oracle_cell(),
+        model.worst_cell(),
+    ]
+}
+
+// ---------------------------------------------------------------------------
+// Cross-scenario study: one unified advisor vs per-scenario experts
+// ---------------------------------------------------------------------------
 
 /// Collect (or load from the env-tagged caches) every format-scenario
 /// cell's corpus and run the cross-scenario study on them. The SpGEMM
@@ -1120,27 +1161,20 @@ pub fn cross_scenario_from(
 ) -> ExperimentResult {
     let all: Vec<Format> = Format::ALL.to_vec();
     let set = FeatureSet::Important;
-    let envs = [
-        Env {
-            arch_idx: 0,
-            precision: Precision::Double,
-        },
-        Env {
-            arch_idx: 1,
-            precision: Precision::Double,
-        },
-    ];
+    let splits: Vec<_> = corpora
+        .iter()
+        .map(|(_, corpus)| holdout(corpus, N_FORMATS))
+        .collect();
 
     // One unified classifier over the pooled train rows of every cell,
     // scenario-major then arch-row order — a deterministic row order, and
     // `fit` itself is bit-identical at any thread count.
     let mut uni_rows: Vec<Vec<f64>> = Vec::new();
     let mut uni_y: Vec<usize> = Vec::new();
-    for (sc, corpus) in corpora {
-        let train = scenario_train_part(corpus);
-        for env in envs {
+    for ((sc, _), (train, _)) in corpora.iter().zip(&splits) {
+        for env in DOUBLE_ENVS {
             let t = ClassificationTask::build_with_extra(
-                &train,
+                train,
                 env,
                 &all,
                 set,
@@ -1159,75 +1193,40 @@ pub fn cross_scenario_from(
     // The expert fleet: one per cell, trained on that cell's split alone.
     // Every cell is a pure function of its corpus, so the sweep executor
     // keeps the result order (and bytes) schedule-independent.
+    let n_envs = DOUBLE_ENVS.len();
     let exec = Executor::new(cfg.threads);
-    let experts: Vec<FormatAdvisor> = exec.map(corpora.len() * envs.len(), |c| {
-        let (_, corpus) = &corpora[c / envs.len()];
-        let env = envs[c % envs.len()];
-        FormatAdvisor::train(&scenario_train_part(corpus), env, cfg.budget)
+    let experts: Vec<FormatAdvisor> = exec.map(corpora.len() * n_envs, |c| {
+        FormatAdvisor::train(&splits[c / n_envs].0, DOUBLE_ENVS[c % n_envs], cfg.budget)
     });
 
     let mut rows = Vec::new();
-    let (mut e_acc_sum, mut u_acc_sum, mut cells) = (0.0f64, 0.0f64, 0usize);
+    let (mut e_acc_sum, mut u_acc_sum) = (0.0f64, 0.0f64);
     let mut worst_overall = 1.0f64;
-    for (ci, (sc, corpus)) in corpora.iter().enumerate() {
-        let test: Vec<&MatrixRecord> = corpus
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(i, r)| i % 4 == 0 && r.complete_for(&all))
-            .map(|(_, r)| r)
-            .collect();
-        for (ei, env) in envs.iter().enumerate() {
-            let expert = &experts[ci * envs.len() + ei];
-            let desc = sc.descriptor(*env);
-            let (mut e_hits, mut u_hits) = (0usize, 0usize);
-            let mut ratio_sum = 0.0f64;
-            let mut worst = 1.0f64;
-            for r in &test {
-                let best = r.best_format(*env, &all);
-                if best == Some(expert.recommend_features(&r.features).format) {
-                    e_hits += 1;
-                }
+    for (ci, ((sc, _), (_, test))) in corpora.iter().zip(&splits).enumerate() {
+        for (ei, env) in DOUBLE_ENVS.into_iter().enumerate() {
+            let expert = &experts[ci * n_envs + ei];
+            let desc = sc.descriptor(env);
+            let e = PickScore::of(test, env, N_FORMATS, |r| {
+                expert.recommend_features(&r.features).format.class_id()
+            });
+            let u = PickScore::of(test, env, N_FORMATS, |r| {
                 let mut row = r.features.project(set);
                 row.extend_from_slice(&desc);
                 let probs = unified.predict_proba_one(&row, all.len());
-                let class = probs
+                probs
                     .iter()
                     .enumerate()
                     .max_by(|a, b| a.1.total_cmp(b.1))
                     .map(|(i, _)| i)
-                    .unwrap_or(0);
-                let u_pick = all[class];
-                if best == Some(u_pick) {
-                    u_hits += 1;
-                }
-                let ts = r.env_times(*env);
-                let t_pick = ts[u_pick.class_id()].unwrap_or(f64::INFINITY);
-                let t_best = all
-                    .iter()
-                    .filter_map(|f| ts[f.class_id()])
-                    .fold(f64::INFINITY, f64::min);
-                ratio_sum += t_best / t_pick;
-                worst = worst.max(t_pick / t_best);
-            }
-            let n = test.len().max(1) as f64;
-            let (e_acc, u_acc) = (e_hits as f64 / n, u_hits as f64 / n);
-            e_acc_sum += e_acc;
-            u_acc_sum += u_acc;
-            cells += 1;
-            worst_overall = worst_overall.max(worst);
-            rows.push(vec![
-                sc.tag().to_string(),
-                sc.machines()[env.arch_idx].name.to_string(),
-                test.len().to_string(),
-                pct(e_acc),
-                pct(u_acc),
-                format!("{:+.1}pp", 100.0 * (u_acc - e_acc)),
-                format!("{:.1}%", 100.0 * ratio_sum / n),
-                format!("{worst:.2}x"),
-            ]);
+                    .unwrap_or(0)
+            });
+            e_acc_sum += e.accuracy();
+            u_acc_sum += u.accuracy();
+            worst_overall = worst_overall.max(u.worst);
+            rows.push(duel_row(*sc, env, test.len(), &e, &u));
         }
     }
+    let cells = rows.len();
     let mut body = render_table(
         "Cross-scenario study: per-cell expert advisors vs one unified model \
          (double precision, held-out quarter)",
@@ -1297,82 +1296,44 @@ pub fn spgemm_dataflow_from(
 ) -> ExperimentResult {
     use spmv_gpusim::N_DATAFLOWS;
 
-    let envs = [
-        Env {
-            arch_idx: 0,
-            precision: Precision::Double,
-        },
-        Env {
-            arch_idx: 1,
-            precision: Precision::Double,
-        },
-    ];
+    let splits: Vec<_> = corpora
+        .iter()
+        .map(|(_, corpus)| holdout(corpus, N_DATAFLOWS))
+        .collect();
 
     // Every cell is a pure function of its corpus and the run seed, so
     // the sweep executor keeps result order (and bytes) thread-invariant.
+    let n_envs = DOUBLE_ENVS.len();
     let exec = Executor::new(cfg.threads);
-    let advisors: Vec<Option<DataflowAdvisor>> = exec.map(corpora.len() * envs.len(), |c| {
-        let (sc, corpus) = &corpora[c / envs.len()];
-        let env = envs[c % envs.len()];
-        DataflowAdvisor::train_for_scenario(&scenario_train_part(corpus), *sc, env, cfg.budget)
+    let advisors: Vec<Option<DataflowAdvisor>> = exec.map(corpora.len() * n_envs, |c| {
+        let (sc, _) = &corpora[c / n_envs];
+        let env = DOUBLE_ENVS[c % n_envs];
+        DataflowAdvisor::train_for_scenario(&splits[c / n_envs].0, *sc, env, cfg.budget)
     });
 
     let mut rows = Vec::new();
-    let (mut h_acc_sum, mut m_acc_sum, mut oracle_sum, mut cells) =
-        (0.0f64, 0.0f64, 0.0f64, 0usize);
+    let (mut h_acc_sum, mut m_acc_sum, mut oracle_sum) = (0.0f64, 0.0f64, 0.0f64);
     let mut worst_overall = 1.0f64;
-    for (ci, (sc, corpus)) in corpora.iter().enumerate() {
-        let test: Vec<&MatrixRecord> = corpus
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(i, r)| i % 4 == 0 && r.complete_slots(N_DATAFLOWS))
-            .map(|(_, r)| r)
-            .collect();
-        for (ei, env) in envs.iter().enumerate() {
-            let advisor = advisors[ci * envs.len() + ei].as_ref();
-            let (mut h_hits, mut m_hits) = (0usize, 0usize);
-            let mut ratio_sum = 0.0f64;
-            let mut worst = 1.0f64;
-            for r in &test {
-                let best = r.best_slot(*env, N_DATAFLOWS);
-                if best == Some(heuristic_dataflow(&r.extra).dataflow.class_id()) {
-                    h_hits += 1;
-                }
-                let pick = advisor
+    for (ci, ((sc, _), (_, test))) in corpora.iter().zip(&splits).enumerate() {
+        for (ei, env) in DOUBLE_ENVS.into_iter().enumerate() {
+            let advisor = advisors[ci * n_envs + ei].as_ref();
+            let h = PickScore::of(test, env, N_DATAFLOWS, |r| {
+                heuristic_dataflow(&r.extra).dataflow.class_id()
+            });
+            let m = PickScore::of(test, env, N_DATAFLOWS, |r| {
+                advisor
                     .map(|a| a.recommend(&r.features, &r.extra).dataflow)
-                    .unwrap_or_else(|| heuristic_dataflow(&r.extra).dataflow);
-                if best == Some(pick.class_id()) {
-                    m_hits += 1;
-                }
-                let ts = r.env_times(*env);
-                let t_pick = ts[pick.class_id()].unwrap_or(f64::INFINITY);
-                let t_best = ts[..N_DATAFLOWS]
-                    .iter()
-                    .flatten()
-                    .fold(f64::INFINITY, |m, &t| m.min(t));
-                ratio_sum += t_best / t_pick;
-                worst = worst.max(t_pick / t_best);
-            }
-            let n = test.len().max(1) as f64;
-            let (h_acc, m_acc) = (h_hits as f64 / n, m_hits as f64 / n);
-            h_acc_sum += h_acc;
-            m_acc_sum += m_acc;
-            oracle_sum += ratio_sum / n;
-            cells += 1;
-            worst_overall = worst_overall.max(worst);
-            rows.push(vec![
-                sc.tag().to_string(),
-                sc.machines()[env.arch_idx].name.to_string(),
-                test.len().to_string(),
-                pct(h_acc),
-                pct(m_acc),
-                format!("{:+.1}pp", 100.0 * (m_acc - h_acc)),
-                format!("{:.1}%", 100.0 * ratio_sum / n),
-                format!("{worst:.2}x"),
-            ]);
+                    .unwrap_or_else(|| heuristic_dataflow(&r.extra).dataflow)
+                    .class_id()
+            });
+            h_acc_sum += h.accuracy();
+            m_acc_sum += m.accuracy();
+            oracle_sum += m.ratio_sum / m.n;
+            worst_overall = worst_overall.max(m.worst);
+            rows.push(duel_row(*sc, env, test.len(), &h, &m));
         }
     }
+    let cells = rows.len();
     let mut body = render_table(
         "SpGEMM dataflow selection: learned advisor vs rule-based heuristic \
          (double precision, held-out quarter)",

@@ -62,7 +62,7 @@ pub use faults::{read_matrix_market_file_with, FaultPlan, FaultSite};
 pub use handle::{AdvisorBackend, AdvisorHandle, RecommendResponse};
 pub use heuristic::HeuristicAdvisor;
 pub use indirect::{
-    choice_within_tolerance, evaluate_indirect, indirect_accuracy, ratio_accuracy, IndirectOutcome,
+    choice_within_tolerance, indirect_accuracy, indirect_picks, ratio_accuracy, IndirectPicks,
 };
 pub use labels::{
     measure_matrix, measure_matrix_op_outcomes_in, measure_matrix_outcomes,

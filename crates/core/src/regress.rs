@@ -79,14 +79,9 @@ pub struct TimePredictor {
 }
 
 impl TimePredictor {
-    /// Predict the time (seconds) for one raw feature row.
-    pub fn predict_row(&self, raw_row: &[f64]) -> f64 {
-        self.predict_rows(FeatureMatrix::from_flat(raw_row.to_vec(), 1, raw_row.len()))[0]
-    }
-
     /// Predict the time (seconds) for every raw feature row of `rows`, in
-    /// one batched pass per ensemble member. Entry `r` equals
-    /// [`TimePredictor::predict_row`] of row `r` bit for bit.
+    /// one batched pass per ensemble member. Entry `r` is bit for bit what
+    /// a batch holding row `r` alone predicts.
     pub fn predict_rows(&self, mut rows: FeatureMatrix) -> Vec<f64> {
         for i in 0..rows.n_rows() {
             for j in 0..rows.n_cols() {
@@ -120,7 +115,7 @@ fn mlp_params(budget: SearchBudget, seed: u64) -> MlpParams {
 }
 
 /// Log-compress + standardize the feature matrix for MLP training.
-fn preprocess(x: &FeatureMatrix) -> (FeatureMatrix, StandardScaler) {
+pub(crate) fn preprocess(x: &FeatureMatrix) -> (FeatureMatrix, StandardScaler) {
     let rows: Vec<Vec<f64>> = (0..x.n_rows())
         .map(|i| x.row(i).iter().copied().map(log_compress).collect())
         .collect();
@@ -254,9 +249,9 @@ mod tests {
         let t = task();
         let (train, test) = record_split(&t, 0.2, 9);
         let p = train_time_predictor(RegModelKind::Mlp, &t, &train, SearchBudget::Quick, 9);
-        let i = test[0];
-        let a = p.predict_row(t.x.row(i));
-        let b = p.predict_row(t.x.row(i));
+        let row = || t.x.select_rows(&test[..1]);
+        let a = p.predict_rows(row())[0];
+        let b = p.predict_rows(row())[0];
         assert_eq!(a, b);
         assert!(a > 0.0);
     }

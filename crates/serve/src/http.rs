@@ -22,7 +22,7 @@
 //! `Err` variants, and the `deny(unwrap_used)` lint scope covers the
 //! whole crate.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Byte budgets for a single request.
 #[derive(Debug, Clone, Copy)]
@@ -394,30 +394,6 @@ pub fn render_response_into(
     out.extend_from_slice(body);
 }
 
-/// Write a complete `Connection: close` response and flush — the
-/// blocking convenience for one-shot paths (overload shedding, tests).
-pub fn write_response<W: Write>(
-    stream: &mut W,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) -> std::io::Result<()> {
-    let mut out = Vec::with_capacity(128 + body.len());
-    render_response_into(
-        &mut out,
-        status,
-        reason,
-        content_type,
-        extra_headers,
-        body,
-        false,
-    );
-    stream.write_all(&out)?;
-    stream.flush()
-}
-
 /// Escape a string for embedding in a JSON literal.
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -649,20 +625,20 @@ mod tests {
     #[test]
     fn response_wire_format_is_complete() {
         let mut out = Vec::new();
-        write_response(
+        render_response_into(
             &mut out,
             503,
             "Service Unavailable",
             "application/json",
             &[("Retry-After", "1")],
             b"{}",
-        )
-        .unwrap();
+            false,
+        );
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
-        // The blocking one-shot writer always closes; persistent
-        // connections render with keep_alive=true instead.
+        // keep_alive=false closes; persistent connections render with
+        // keep_alive=true instead.
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));

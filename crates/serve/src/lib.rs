@@ -578,6 +578,22 @@ struct FeatureRequest {
     features: Vec<f64>,
 }
 
+/// The checks a client-sent feature array passes before it reaches the
+/// model: exactly [`FEATURE_COUNT`] values, all finite. The error is the
+/// message of the caller's 400 response.
+fn checked_features(values: &[f64]) -> Result<FeatureVector, String> {
+    if values.len() != FEATURE_COUNT {
+        return Err(format!(
+            "expected exactly {FEATURE_COUNT} features, got {}",
+            values.len()
+        ));
+    }
+    if let Some(v) = values.iter().find(|v| !v.is_finite()) {
+        return Err(format!("features must be finite, got {v}"));
+    }
+    FeatureVector::from_slice(values).ok_or_else(|| "feature vector rejected".to_string())
+}
+
 fn recommend_features(shared: &Shared, body: &[u8]) -> Routed {
     spmv_observe::counter("serve.recommend.features", 1);
     let bad = |message: &str| {
@@ -597,18 +613,9 @@ fn recommend_features(shared: &Shared, body: &[u8]) -> Routed {
         Ok(parsed) => parsed,
         Err(e) => return bad(&format!("unparsable feature request: {e}")),
     };
-    if parsed.features.len() != FEATURE_COUNT {
-        return bad(&format!(
-            "expected exactly {FEATURE_COUNT} features, got {}",
-            parsed.features.len()
-        ));
-    }
-    if let Some(v) = parsed.features.iter().find(|v| !v.is_finite()) {
-        return bad(&format!("features must be finite, got {v}"));
-    }
-    let fv = match FeatureVector::from_slice(&parsed.features) {
-        Some(fv) => fv,
-        None => return bad("feature vector rejected"),
+    let fv = match checked_features(&parsed.features) {
+        Ok(fv) => fv,
+        Err(message) => return bad(&message),
     };
     let snapshot = shared.online.snapshot();
     // Cache key: the 17 exact bit patterns (semantic identity — two
@@ -662,17 +669,9 @@ fn feedback(shared: &Shared, body: &[u8]) -> Routed {
         Ok(parsed) => parsed,
         Err(e) => return bad(&format!("unparsable feedback: {e}")),
     };
-    if parsed.features.len() != FEATURE_COUNT {
-        return bad(&format!(
-            "expected exactly {FEATURE_COUNT} features, got {}",
-            parsed.features.len()
-        ));
-    }
-    if let Some(v) = parsed.features.iter().find(|v| !v.is_finite()) {
-        return bad(&format!("features must be finite, got {v}"));
-    }
-    let Some(features) = FeatureVector::from_slice(&parsed.features) else {
-        return bad("feature vector rejected");
+    let features = match checked_features(&parsed.features) {
+        Ok(features) => features,
+        Err(message) => return bad(&message),
     };
     let Some(format) = Format::ALL
         .iter()

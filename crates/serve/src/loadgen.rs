@@ -558,18 +558,24 @@ fn aggregate(
 
 /// Render one request for a keep-alive connection (no `Connection`
 /// header: HTTP/1.1 defaults to keep-alive, and the server honors it).
-fn render_keepalive_request(wire: &mut Vec<u8>, addr: &str, req: &LoadRequest) {
-    wire.extend_from_slice(req.method.as_bytes());
+fn render_keepalive_request(
+    wire: &mut Vec<u8>,
+    addr: &str,
+    method: &str,
+    target: &str,
+    body: &[u8],
+) {
+    wire.extend_from_slice(method.as_bytes());
     wire.push(b' ');
-    wire.extend_from_slice(req.target.as_bytes());
+    wire.extend_from_slice(target.as_bytes());
     wire.extend_from_slice(b" HTTP/1.1\r\nHost: ");
     wire.extend_from_slice(addr.as_bytes());
     wire.extend_from_slice(b"\r\n");
-    if !req.body.is_empty() || req.method == "POST" {
-        wire.extend_from_slice(format!("Content-Length: {}\r\n", req.body.len()).as_bytes());
+    if !body.is_empty() || method == "POST" {
+        wire.extend_from_slice(format!("Content-Length: {}\r\n", body.len()).as_bytes());
     }
     wire.extend_from_slice(b"\r\n");
-    wire.extend_from_slice(&req.body);
+    wire.extend_from_slice(body);
 }
 
 /// Try to split one complete response off the front of `buf`. Returns
@@ -668,17 +674,7 @@ impl KeepAliveClient {
             std::io::Error::new(std::io::ErrorKind::NotConnected, "no connection")
         })?;
         let mut wire = Vec::with_capacity(128 + body.len());
-        wire.extend_from_slice(method.as_bytes());
-        wire.push(b' ');
-        wire.extend_from_slice(target.as_bytes());
-        wire.extend_from_slice(b" HTTP/1.1\r\nHost: ");
-        wire.extend_from_slice(self.addr.as_bytes());
-        wire.extend_from_slice(b"\r\n");
-        if !body.is_empty() || method == "POST" {
-            wire.extend_from_slice(format!("Content-Length: {}\r\n", body.len()).as_bytes());
-        }
-        wire.extend_from_slice(b"\r\n");
-        wire.extend_from_slice(body);
+        render_keepalive_request(&mut wire, &self.addr, method, target, body);
         stream.write_all(&wire)?;
         read_one_response(stream, &mut self.residue)
     }
@@ -779,7 +775,10 @@ pub fn run_persistent(
                         let burst_started = Instant::now();
                         let mut wire = Vec::new();
                         for &index in &pending {
-                            render_keepalive_request(&mut wire, addr, &mix[index]);
+                            let req = &mix[index];
+                            render_keepalive_request(
+                                &mut wire, addr, req.method, req.target, &req.body,
+                            );
                         }
                         if stream.write_all(&wire).is_err() {
                             conn = None;
