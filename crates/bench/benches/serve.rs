@@ -8,14 +8,15 @@
 //!   with the cache disabled (parse + featurize + advise every time), the
 //!   same request cache-hot (response bytes served from the LRU), and a
 //!   17-feature vector request (cache disabled as well). Each shape is
-//!   measured twice: one-shot (`Connection: close` per request — the
-//!   legacy contract, retained as the regression baseline) and keep-alive
-//!   (one persistent connection reused across iterations).
+//!   measured in both of the load generator's connection modes: one-shot
+//!   (a fresh connection and `Connection: close` per request, so the
+//!   connect is paid every time) and keep-alive (one persistent
+//!   connection reused across iterations).
 //! * `serve_closed_loop` — the scripted `loadgen` mix (the same request
 //!   stream the CI smoke job and the e2e test drive) at closed-loop
-//!   concurrency 1 and 4 over one-shot connections, measured end to end.
-//! * `serve_pipelined` — the same mix over persistent connections at
-//!   pipeline depths 1, 4, and 16 (4 closed-loop clients), the headline
+//!   concurrency 1 and 4 in one-shot mode, measured end to end.
+//! * `serve_pipelined` — the same mix in keep-alive mode at pipeline
+//!   depths 1, 4, and 16 (4 closed-loop clients), the headline
 //!   throughput path of the event-driven core.
 //!
 //! The server runs the heuristic advisor so the numbers isolate serving
@@ -26,7 +27,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use spmv_core::AdvisorHandle;
-use spmv_serve::loadgen::{self, banded_mm, feature_body};
+use spmv_serve::loadgen::{self, banded_mm, feature_body, Transport};
 use spmv_serve::{Server, ServerConfig};
 
 fn boot(cache_capacity: usize) -> Server {
@@ -78,8 +79,8 @@ fn bench_roundtrip(c: &mut Criterion) {
     });
     // The same shapes over one persistent connection: what a request
     // costs once connection setup is off the per-request path.
-    let mut warm_conn = loadgen::KeepAliveClient::connect(&warm_addr).expect("connect keep-alive");
-    let mut cold_conn = loadgen::KeepAliveClient::connect(&cold_addr).expect("connect keep-alive");
+    let mut warm_conn = loadgen::Client::connect(&warm_addr).expect("connect keep-alive");
+    let mut cold_conn = loadgen::Client::connect(&cold_addr).expect("connect keep-alive");
     group.bench_function("healthz_keepalive", |b| {
         b.iter(|| {
             let (status, _) = warm_conn.call("GET", "/healthz", b"").expect("healthz");
@@ -129,7 +130,7 @@ fn bench_closed_loop(c: &mut Criterion) {
             &concurrency,
             |b, &concurrency| {
                 b.iter(|| {
-                    let report = loadgen::run(&addr, &mix, concurrency, false);
+                    let report = loadgen::run(&addr, &mix, concurrency, Transport::OneShot, false);
                     assert!(report.violations.is_empty(), "{:?}", report.violations);
                     report.outcomes.len()
                 });
@@ -151,7 +152,7 @@ fn bench_pipelined(c: &mut Criterion) {
     for &depth in &[1usize, 4, 16] {
         group.bench_with_input(BenchmarkId::new("mix32_c4", depth), &depth, |b, &depth| {
             b.iter(|| {
-                let report = loadgen::run_persistent(&addr, &mix, 4, depth, false);
+                let report = loadgen::run(&addr, &mix, 4, Transport::Pipelined(depth), false);
                 assert!(report.violations.is_empty(), "{:?}", report.violations);
                 report.outcomes.len()
             });

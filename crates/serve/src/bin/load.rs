@@ -10,13 +10,15 @@
 //! function of `--requests`/`--seed`) against a running server and
 //! prints one JSON report line: status tallies, throughput, latency
 //! quantiles, a log2 latency histogram, and any expectation violations.
-//! The default mode is one-shot (`Connection: close` per request — the
-//! regression path for old clients); `--persistent` reuses keep-alive
-//! connections, and `--pipeline-depth N` additionally pipelines N
-//! requests per write burst (implies `--persistent` when > 1).
-//! Per-request status-class expectations are enforced identically in
-//! both modes. `--shutdown` sends `POST /admin/shutdown` after the run
-//! — the CI smoke job uses that to collect the server's exit manifest.
+//! One client runs the mix in either of two connection modes. The
+//! default is one-shot: one connection per request, sent with
+//! `Connection: close`, and a request that draws no response is lost,
+//! never re-sent. `--persistent` reuses keep-alive connections, and
+//! `--pipeline-depth N` additionally pipelines N requests per write
+//! burst (implies `--persistent` when > 1). Per-request status-class
+//! expectations are enforced identically in both modes. `--shutdown`
+//! sends `POST /admin/shutdown` after the run — the CI smoke job uses
+//! that to collect the server's exit manifest.
 //!
 //! `--lifecycle <kind>` replaces the concurrent mix with a **serial**
 //! online-learning scenario from `spmv_serve::lifecycle` (feedback →
@@ -38,7 +40,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use spmv_serve::lifecycle::{self, LifecycleKind};
-use spmv_serve::loadgen;
+use spmv_serve::loadgen::{self, Transport};
 
 const EXIT_USAGE: u8 = 2;
 const EXIT_NOT_READY: u8 = 6;
@@ -61,8 +63,7 @@ struct Opts {
     seed: u64,
     wait_ready_ms: u64,
     allow_503: bool,
-    persistent: bool,
-    pipeline_depth: usize,
+    transport: Transport,
     shutdown: bool,
     lifecycle: Option<LifecycleKind>,
 }
@@ -115,8 +116,11 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Opts>, String
         seed,
         wait_ready_ms,
         allow_503,
-        persistent: persistent || pipeline_depth > 1,
-        pipeline_depth,
+        transport: if persistent || pipeline_depth > 1 {
+            Transport::Pipelined(pipeline_depth)
+        } else {
+            Transport::OneShot
+        },
         shutdown,
         lifecycle: lifecycle_kind,
     }))
@@ -152,17 +156,13 @@ fn main() -> ExitCode {
         report.violations
     } else {
         let mix = loadgen::build_mix(opts.requests, opts.seed);
-        let report = if opts.persistent {
-            loadgen::run_persistent(
-                &opts.addr,
-                &mix,
-                opts.concurrency,
-                opts.pipeline_depth,
-                opts.allow_503,
-            )
-        } else {
-            loadgen::run(&opts.addr, &mix, opts.concurrency, opts.allow_503)
-        };
+        let report = loadgen::run(
+            &opts.addr,
+            &mix,
+            opts.concurrency,
+            opts.transport,
+            opts.allow_503,
+        );
         println!("{}", report.to_json());
         report.violations
     };

@@ -270,24 +270,23 @@ impl Conn {
         self.last_activity = Instant::now();
     }
 
-    /// Append the typed 4xx/5xx for a protocol error, with the same
-    /// counter discipline the blocking server used.
+    /// Append the typed 4xx/5xx for a protocol error; it counts as a
+    /// request.
     fn respond_protocol_error(&mut self, err: &ProtocolError) {
-        if let Some((status, reason, kind)) = err.status() {
-            spmv_observe::counter("serve.requests", 1);
-            crate::count_protocol_error(err);
-            crate::count_status(status);
-            let body = error_body(kind, &err.to_string());
-            render_response_into(
-                &mut self.outbuf,
-                status,
-                reason,
-                "application/json",
-                &[],
-                &body,
-                false,
-            );
-        }
+        let (status, reason, kind) = err.status();
+        spmv_observe::counter("serve.requests", 1);
+        crate::count_protocol_error(err);
+        crate::count_status(status);
+        let body = error_body(kind, &err.to_string());
+        render_response_into(
+            &mut self.outbuf,
+            status,
+            reason,
+            "application/json",
+            &[],
+            &body,
+            false,
+        );
     }
 
     /// Nonblocking flush of the pending response bytes.

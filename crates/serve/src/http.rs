@@ -3,26 +3,24 @@
 //!
 //! The server speaks exactly what its clients need — `POST` with
 //! `Content-Length`, `GET` without — and rejects everything else with a
-//! typed [`ProtocolError`] that maps to one 4xx/5xx status. Since the
-//! persistent-connection rework, a connection carries *many* requests:
-//! the parser is incremental ([`parse_request`] consumes one complete
-//! request from a reused buffer and reports how many bytes it ate, so
-//! pipelined requests queue naturally behind it), and responses carry
-//! `Connection: keep-alive` or `Connection: close` according to the
-//! negotiated policy — HTTP/1.1 defaults to keep-alive, HTTP/1.0 to
-//! close, an explicit `Connection:` request header wins, and the server
-//! closes after protocol-level errors, on shutdown, and when a
-//! connection reaches its `max-requests` budget. One-shot clients that
-//! send `Connection: close` (the CLI, the old loadgen path) see exactly
-//! the pre-keep-alive behavior. There is still no chunked transfer and
-//! no continuation lines — that restriction is what keeps the parser
-//! small enough to exhaustively adversarial-test (`tests/protocol.rs`).
+//! typed [`ProtocolError`] that maps to one 4xx/5xx status. A connection
+//! carries *many* requests: the parser is incremental ([`parse_request`]
+//! consumes one complete request from a reused buffer and reports how
+//! many bytes it ate, so pipelined requests queue naturally behind it),
+//! and responses carry `Connection: keep-alive` or `Connection: close`
+//! according to the negotiated policy — HTTP/1.1 defaults to keep-alive,
+//! HTTP/1.0 to close, an explicit `Connection:` request header wins, and
+//! the server closes after protocol-level errors, on shutdown, and when a
+//! connection reaches its `max-requests` budget. A client that sends
+//! `Connection: close` (the load generator's one-shot mode, any
+//! one-request client) gets one answer and a close. There is no chunked
+//! transfer and no continuation lines — that restriction is what keeps
+//! the parser small enough to exhaustively adversarial-test
+//! (`tests/protocol.rs`).
 //!
 //! Nothing in this module panics on wire input: malformed bytes become
 //! `Err` variants, and the `deny(unwrap_used)` lint scope covers the
 //! whole crate.
-
-use std::io::Read;
 
 /// Byte budgets for a single request.
 #[derive(Debug, Clone, Copy)]
@@ -86,26 +84,13 @@ impl Request {
     }
 }
 
-/// Every way reading one request can fail. Variants that map to a status
-/// code get a response; connection-level variants (the client vanished
-/// before a request existed) get silence.
+/// Every way a request can fail at the protocol level. Each maps to one
+/// status code; a connection that closes before its request is complete
+/// is no request at all and gets silence, not an error.
 #[derive(Debug)]
 pub enum ProtocolError {
-    /// EOF before a single byte arrived. Not a request at all — readiness
-    /// probes and port scanners do this; it is deliberately invisible to
-    /// the request counters so probe frequency cannot perturb the
-    /// deterministic manifest section.
-    EmptyConnection,
-    /// EOF after at least one byte but before the request was complete
-    /// (truncated request line, headers, or body).
-    ClientGone {
-        /// Bytes received before the disconnect.
-        bytes_seen: usize,
-    },
-    /// A socket read timed out before the request completed.
+    /// The request did not complete within the read timeout.
     Timeout,
-    /// Any other transport error.
-    Io(std::io::Error),
     /// The request line is not `METHOD SP TARGET SP VERSION`.
     BadRequestLine(String),
     /// The version is not HTTP/1.x.
@@ -137,15 +122,7 @@ pub enum ProtocolError {
 impl std::fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProtocolError::EmptyConnection => write!(f, "connection closed before any byte"),
-            ProtocolError::ClientGone { bytes_seen } => {
-                write!(
-                    f,
-                    "client disconnected mid-request after {bytes_seen} bytes"
-                )
-            }
             ProtocolError::Timeout => write!(f, "timed out reading request"),
-            ProtocolError::Io(e) => write!(f, "transport error: {e}"),
             ProtocolError::BadRequestLine(l) => write!(f, "malformed request line {l:?}"),
             ProtocolError::UnsupportedVersion(v) => write!(f, "unsupported version {v:?}"),
             ProtocolError::HeaderTooLarge { limit } => {
@@ -167,53 +144,48 @@ impl std::fmt::Display for ProtocolError {
 impl std::error::Error for ProtocolError {}
 
 impl ProtocolError {
-    /// The `(status, reason, machine-readable kind)` this error maps to,
-    /// or `None` when no response can or should be written (the client is
-    /// gone, or nothing was ever received).
-    pub fn status(&self) -> Option<(u16, &'static str, &'static str)> {
+    /// The `(status, reason, machine-readable kind)` this error maps to.
+    pub fn status(&self) -> (u16, &'static str, &'static str) {
         match self {
-            ProtocolError::EmptyConnection
-            | ProtocolError::ClientGone { .. }
-            | ProtocolError::Io(_) => None,
-            ProtocolError::Timeout => Some((408, "Request Timeout", "timeout")),
-            ProtocolError::BadRequestLine(_) => Some((400, "Bad Request", "bad_request_line")),
+            ProtocolError::Timeout => (408, "Request Timeout", "timeout"),
+            ProtocolError::BadRequestLine(_) => (400, "Bad Request", "bad_request_line"),
             ProtocolError::UnsupportedVersion(_) => {
-                Some((505, "HTTP Version Not Supported", "bad_version"))
+                (505, "HTTP Version Not Supported", "bad_version")
             }
             ProtocolError::HeaderTooLarge { .. } => {
-                Some((431, "Request Header Fields Too Large", "header_too_large"))
+                (431, "Request Header Fields Too Large", "header_too_large")
             }
-            ProtocolError::BadHeader(_) => Some((400, "Bad Request", "bad_header")),
+            ProtocolError::BadHeader(_) => (400, "Bad Request", "bad_header"),
             ProtocolError::MissingContentLength => {
-                Some((411, "Length Required", "missing_content_length"))
+                (411, "Length Required", "missing_content_length")
             }
-            ProtocolError::BadContentLength(_) => Some((400, "Bad Request", "bad_content_length")),
+            ProtocolError::BadContentLength(_) => (400, "Bad Request", "bad_content_length"),
             ProtocolError::UnsupportedTransferEncoding => {
-                Some((501, "Not Implemented", "unsupported_transfer_encoding"))
+                (501, "Not Implemented", "unsupported_transfer_encoding")
             }
-            ProtocolError::BodyTooLarge { .. } => {
-                Some((413, "Payload Too Large", "body_too_large"))
-            }
+            ProtocolError::BodyTooLarge { .. } => (413, "Payload Too Large", "body_too_large"),
         }
     }
 }
 
-fn map_io(e: std::io::Error, bytes_seen: usize) -> ProtocolError {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ProtocolError::Timeout,
-        std::io::ErrorKind::UnexpectedEof if bytes_seen == 0 => ProtocolError::EmptyConnection,
-        std::io::ErrorKind::UnexpectedEof => ProtocolError::ClientGone { bytes_seen },
-        _ => ProtocolError::Io(e),
-    }
-}
-
 /// Position right after the first blank line (`\r\n\r\n`, tolerating bare
-/// `\n\n`), or `None` if the headers have not terminated yet.
+/// `\n\n`), or `None` if the headers have not terminated yet. One forward
+/// scan, so whichever terminator comes first ends the head: a body may
+/// hold the other one.
 fn header_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|p| p + 4)
-        .or_else(|| buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2))
+    let mut from = 0;
+    while let Some(offset) = buf[from..].iter().position(|&b| b == b'\n') {
+        let lf = from + offset;
+        let rest = &buf[lf + 1..];
+        if rest.first() == Some(&b'\n') {
+            return Some(lf + 2);
+        }
+        if rest.starts_with(b"\r\n") && lf > 0 && buf[lf - 1] == b'\r' {
+            return Some(lf + 3);
+        }
+        from = lf + 1;
+    }
+    None
 }
 
 /// Result of trying to parse one request out of a connection buffer.
@@ -316,34 +288,6 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Parse, ProtocolError
     ))
 }
 
-/// Read exactly one request from `stream` under `limits` (blocking
-/// convenience over [`parse_request`] for one-shot callers and tests).
-/// Pipelined bytes beyond the first request are read but ignored.
-///
-/// The caller is expected to have armed socket read timeouts; timeouts
-/// surface as [`ProtocolError::Timeout`].
-pub fn read_request<R: Read>(stream: &mut R, limits: &Limits) -> Result<Request, ProtocolError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    loop {
-        match parse_request(&buf, limits)? {
-            Parse::Done(request, _consumed) => return Ok(request),
-            Parse::Partial => {}
-        }
-        let n = stream.read(&mut chunk).map_err(|e| map_io(e, buf.len()))?;
-        if n == 0 {
-            return Err(if buf.is_empty() {
-                ProtocolError::EmptyConnection
-            } else {
-                ProtocolError::ClientGone {
-                    bytes_seen: buf.len(),
-                }
-            });
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 /// Append a complete response (status line, standard headers, body) to
 /// `out`. `keep_alive` selects the `Connection:` header; the caller owns
 /// actually closing (or not closing) the transport to match.
@@ -426,11 +370,12 @@ pub fn error_body(kind: &str, message: &str) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    /// Parse one request that `bytes` must hold completely.
     fn parse(bytes: &[u8]) -> Result<Request, ProtocolError> {
-        read_request(
-            &mut std::io::Cursor::new(bytes.to_vec()),
-            &Limits::default(),
-        )
+        match parse_request(bytes, &Limits::default())? {
+            Parse::Done(request, _consumed) => Ok(request),
+            Parse::Partial => panic!("incomplete request {bytes:?}"),
+        }
     }
 
     #[test]
@@ -459,43 +404,32 @@ mod tests {
     }
 
     #[test]
-    fn empty_connection_is_not_a_request() {
-        assert!(matches!(parse(b""), Err(ProtocolError::EmptyConnection)));
-        assert!(parse(b"").unwrap_err().status().is_none());
-    }
-
-    #[test]
-    fn truncated_request_line_is_client_gone() {
-        assert!(matches!(
-            parse(b"POST /v1/reco"),
-            Err(ProtocolError::ClientGone { bytes_seen: 13 })
-        ));
-    }
-
-    #[test]
-    fn truncated_body_is_client_gone() {
-        let e = parse(b"POST /x HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort").unwrap_err();
-        assert!(matches!(e, ProtocolError::ClientGone { .. }));
+    fn bare_lf_head_ends_at_the_first_blank_line() {
+        // The body holds a CRLF blank line; the bare-LF one before it ends
+        // the head.
+        let req = parse(b"POST /x HTTP/1.1\nContent-Length: 8\n\nab\r\n\r\ncd").unwrap();
+        assert_eq!(req.header("content-length"), Some("8"));
+        assert_eq!(req.body, b"ab\r\n\r\ncd");
     }
 
     #[test]
     fn bad_request_line_maps_to_400() {
         let e = parse(b"NONSENSE\r\n\r\n").unwrap_err();
         assert!(matches!(e, ProtocolError::BadRequestLine(_)));
-        assert_eq!(e.status().unwrap().0, 400);
+        assert_eq!(e.status().0, 400);
     }
 
     #[test]
     fn http2_preface_is_rejected() {
         let e = parse(b"PRI * HTTP/2.0\r\n\r\n").unwrap_err();
-        assert_eq!(e.status().unwrap().0, 505);
+        assert_eq!(e.status().0, 505);
     }
 
     #[test]
     fn non_numeric_content_length_maps_to_400() {
         let e = parse(b"POST /x HTTP/1.1\r\nContent-Length: banana\r\n\r\n").unwrap_err();
         assert!(matches!(e, ProtocolError::BadContentLength(_)));
-        assert_eq!(e.status().unwrap().0, 400);
+        assert_eq!(e.status().0, 400);
     }
 
     #[test]
@@ -511,11 +445,10 @@ mod tests {
             max_body_bytes: 10,
         };
         // Note: no body bytes follow — detection is from the header alone.
-        let e = read_request(
-            &mut std::io::Cursor::new(b"POST /x HTTP/1.1\r\nContent-Length: 11\r\n\r\n".to_vec()),
-            &limits,
-        )
-        .unwrap_err();
+        let Err(e) = parse_request(b"POST /x HTTP/1.1\r\nContent-Length: 11\r\n\r\n", &limits)
+        else {
+            panic!("an oversized declaration must fail");
+        };
         assert!(matches!(
             e,
             ProtocolError::BodyTooLarge {
@@ -523,19 +456,19 @@ mod tests {
                 declared: 11
             }
         ));
-        assert_eq!(e.status().unwrap().0, 413);
+        assert_eq!(e.status().0, 413);
     }
 
     #[test]
     fn post_without_length_maps_to_411() {
         let e = parse(b"POST /x HTTP/1.1\r\n\r\n").unwrap_err();
-        assert_eq!(e.status().unwrap().0, 411);
+        assert_eq!(e.status().0, 411);
     }
 
     #[test]
     fn chunked_encoding_maps_to_501() {
         let e = parse(b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").unwrap_err();
-        assert_eq!(e.status().unwrap().0, 501);
+        assert_eq!(e.status().0, 501);
     }
 
     #[test]
@@ -544,7 +477,7 @@ mod tests {
         req.extend(std::iter::repeat_n(b'a', 20 * 1024));
         let e = parse(&req).unwrap_err();
         assert!(matches!(e, ProtocolError::HeaderTooLarge { .. }));
-        assert_eq!(e.status().unwrap().0, 431);
+        assert_eq!(e.status().0, 431);
     }
 
     #[test]
@@ -555,8 +488,8 @@ mod tests {
 
     #[test]
     fn excess_body_bytes_are_left_for_the_pipeline() {
-        // One-shot read_request ignores them; the incremental parser
-        // reports the exact consumed length so they become request 2.
+        // The parser reports the exact consumed length, so they become
+        // request 2.
         let req = parse(b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n\r\nabEXTRA").unwrap();
         assert_eq!(req.body, b"ab");
         match parse_request(

@@ -11,9 +11,8 @@
 //!
 //! - **Keep-alive + pipelining** — a connection carries many requests;
 //!   responses advertise `Connection: keep-alive` up to a bounded
-//!   per-connection request budget and idle timeout, and the
-//!   `Connection: close` one-shot path is preserved unchanged for the
-//!   CLI and old clients.
+//!   per-connection request budget and idle timeout, and a client that
+//!   sends `Connection: close` gets one answer and a close.
 //! - **Admission control** — each shard admits up to `queue_depth + 1`
 //!   concurrent connections (the budget the old bounded channel gave a
 //!   worker); past that it answers `503` + `Retry-After` immediately,
@@ -289,9 +288,6 @@ fn count_protocol_error(err: &ProtocolError) {
         ProtocolError::BadContentLength(_) => "serve.protocol.bad_content_length",
         ProtocolError::UnsupportedTransferEncoding => "serve.protocol.transfer_encoding",
         ProtocolError::BodyTooLarge { .. } => "serve.protocol.body_too_large",
-        ProtocolError::EmptyConnection
-        | ProtocolError::ClientGone { .. }
-        | ProtocolError::Io(_) => "serve.protocol.other",
     };
     spmv_observe::counter(name, 1);
 }

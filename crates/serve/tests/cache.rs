@@ -142,6 +142,11 @@ fn zero_capacity_disables_caching_but_not_correctness() {
 
 #[test]
 fn corrupt_artifact_boots_heuristic_and_serves() {
+    // Its recommend counts a cache miss; hold the lock so that miss never
+    // lands inside another test's counter delta.
+    let _guard = COUNTER_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let path = std::env::temp_dir().join(format!(
         "spmv_serve_corrupt_artifact_{}.json",
         std::process::id()

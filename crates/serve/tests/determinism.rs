@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use spmv_serve::loadgen;
+use spmv_serve::loadgen::{self, Transport};
 
 struct ServerProc {
     child: Child,
@@ -63,24 +63,13 @@ fn boot(workers: usize, trace_out: &PathBuf) -> ServerProc {
     ServerProc { child, addr }
 }
 
-/// How the load generator talks to the server for one matrix cell.
-#[derive(Clone, Copy)]
-enum Transport {
-    OneShot,
-    /// Keep-alive connections pipelining this many requests per burst.
-    Pipelined(usize),
-}
-
 /// Drive the scripted mix, request shutdown, and wait for a clean exit.
 fn run_and_collect(workers: usize, transport: Transport, trace_out: &PathBuf) -> Vec<String> {
     let mut server = boot(workers, trace_out);
     loadgen::wait_ready(&server.addr, Duration::from_secs(10)).expect("server ready");
 
     let mix = loadgen::build_mix(64, 7);
-    let report = match transport {
-        Transport::OneShot => loadgen::run(&server.addr, &mix, 4, false),
-        Transport::Pipelined(depth) => loadgen::run_persistent(&server.addr, &mix, 4, depth, false),
-    };
+    let report = loadgen::run(&server.addr, &mix, 4, transport, false);
     assert_eq!(
         report.violations,
         Vec::<String>::new(),

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use common::{spawn, tiny_handle};
 use spmv_core::AdvisorHandle;
 use spmv_features::FeatureVector;
-use spmv_serve::loadgen::{self, banded_mm, ExpectClass};
+use spmv_serve::loadgen::{self, banded_mm, ExpectClass, Transport};
 use spmv_serve::ServerConfig;
 
 /// Expected 200-body for a MatrixMarket request, through the same code
@@ -67,7 +67,7 @@ fn concurrent_mixed_load_matches_the_cli_surface() {
 
     let mix = loadgen::build_mix(72, 7);
     assert!(mix.len() >= 64, "acceptance requires >= 64 mixed requests");
-    let report = loadgen::run(&addr, &mix, 8, false);
+    let report = loadgen::run(&addr, &mix, 8, Transport::OneShot, false);
 
     assert_eq!(
         report.violations,
