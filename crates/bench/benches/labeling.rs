@@ -11,6 +11,10 @@
 //!   in: shared row stats + a reused per-worker scratch, ~zero
 //!   allocations per matrix.
 //!
+//! Uniform matrices pad their ELL plane to about nnz slots, so the
+//! `rowskew` case adds a power-law matrix whose padded plane is many times
+//! its nnz: the case where plane-free ELL/HYB-head counting matters.
+//!
 //! Headline numbers are recorded in `BENCH_labeling.json` at the repo
 //! root; regenerate with `cargo bench --bench labeling`.
 
@@ -35,6 +39,24 @@ fn uniform(nnz: usize, seed: u64) -> CsrMatrix<f64> {
     .generate()
 }
 
+/// Power-law row lengths (the Small suite's rowskew family at ~100k nnz):
+/// a few long rows widen the ELL plane to tens of slots per non-zero,
+/// while staying under the padded cap.
+fn rowskew(seed: u64) -> CsrMatrix<f64> {
+    MatrixSpec {
+        name: "bench".into(),
+        kind: GenKind::RowSkew {
+            n_rows: 12_500,
+            n_cols: 12_500,
+            min_len: 4,
+            alpha: 1.2,
+            max_len: 1_000,
+        },
+        seed,
+    }
+    .generate()
+}
+
 /// One matrix through the full labeling grid (6 formats x 2 machines x 2
 /// precisions), feature extraction included — the per-matrix unit of work
 /// `collect` parallelizes over.
@@ -42,17 +64,20 @@ fn bench_label_one_matrix(c: &mut Criterion) {
     let sim = Simulator::default();
     let plan = FaultPlan::none();
     let mut group = c.benchmark_group("label_one_matrix");
-    for &nnz in &[20_000usize, 100_000, 400_000] {
-        let csr = uniform(nnz, 9);
+    let cases = [20_000usize, 100_000, 400_000]
+        .into_iter()
+        .map(|nnz| (nnz.to_string(), uniform(nnz, 9)))
+        .chain([("rowskew".to_string(), rowskew(9))]);
+    for (case, csr) in cases {
         group.throughput(Throughput::Elements(csr.nnz() as u64));
-        group.bench_with_input(BenchmarkId::new("reference", nnz), &csr, |b, m| {
+        group.bench_with_input(BenchmarkId::new("reference", &case), &csr, |b, m| {
             b.iter(|| {
                 let f = extract(m);
                 let out = measure_matrix_outcomes_reference(m, &sim, 7, "bench", &plan);
                 (f, out)
             });
         });
-        group.bench_with_input(BenchmarkId::new("structural_warm", nnz), &csr, |b, m| {
+        group.bench_with_input(BenchmarkId::new("structural_warm", &case), &csr, |b, m| {
             let mut scratch = StructureScratch::new();
             b.iter(|| {
                 let stats = RowStats::of(m.row_ptr());

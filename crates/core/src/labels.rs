@@ -251,8 +251,10 @@ pub fn measure_matrix_outcomes(
 /// The structural-profiling hot path: measure every (format, arch,
 /// precision) cell of one matrix under a sparse operation `op` over an
 /// explicit machine pair, **without materializing any value plane**. Each
-/// format's index layout is derived into `scratch` as a value-free
-/// [`FormatStructure`] and profiled via [`KernelProfile::of_structure`];
+/// format's index layout is described as a value-free [`FormatStructure`]
+/// (reordered streams derived into `scratch`, ELL's and the HYB head's
+/// padded planes read from the CSR rows rather than written out) and
+/// profiled via [`KernelProfile::of_structure`];
 /// `stats` is the shared single-pass row analysis (the same one that feeds
 /// feature extraction), so `row_ptr` is never re-walked per format.
 ///
@@ -260,9 +262,10 @@ pub fn measure_matrix_outcomes(
 /// simulator labeling path, byte-identical to
 /// [`measure_matrix_outcomes_reference`] (the retired value-carrying path,
 /// kept as the golden-test oracle) by construction: the structural views
-/// are bit-equal to the conversions' index arrays, both paths run the same
-/// profiling code over them, and [`Simulator::measure_profile_op`]
-/// reproduces [`Simulator::measure_profile`] bit for bit under SpMV.
+/// read entry for entry as the conversions' index arrays, both paths feed
+/// the same chunks to the same profiling code, and
+/// [`Simulator::measure_profile_op`] reproduces
+/// [`Simulator::measure_profile`] bit for bit under SpMV.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_matrix_op_outcomes_in(
     csr: &CsrMatrix<f64>,

@@ -1,13 +1,16 @@
 //! Execution views: per-format kernel operands derived from a CSR matrix.
 //!
-//! Kernel setup reuses the PR-3 value-free [`FormatStructure`] layouts for
-//! every index plane (ELL's padded column-major plane, HYB's head/tail
-//! split, CSR5's transposed tiles, COO's expanded row stream) and only
-//! adds the value planes the structural layer deliberately omits. All
-//! derived arrays land in a caller-owned [`ExecScratch`] that grows to a
-//! sweep's high-water mark and then stops allocating, so preparing a
-//! matrix for execution is alloc-free in steady state — and preparation
-//! always happens outside the measured region.
+//! Kernel setup reuses the value-free [`FormatStructure`] layouts for the
+//! reordered index streams (HYB's COO tail, CSR5's transposed tiles,
+//! COO's expanded row stream) and adds the value planes the structural
+//! layer deliberately omits. ELL and the HYB head are the exception: the
+//! structural layer only describes their padded planes, and this is the
+//! only code that executes them, so it writes the column plane itself,
+//! beside the value plane. All derived arrays land in a caller-owned
+//! [`ExecScratch`] that grows to a sweep's high-water mark and then stops
+//! allocating, so preparing a matrix for execution is alloc-free in
+//! steady state — and preparation always happens outside the measured
+//! region.
 
 use spmv_matrix::{
     merge_path_search, CsrMatrix, FormatStructure, MatrixError, MergeCoordinate, RowStats, Scalar,
@@ -37,8 +40,10 @@ pub const MAX_OMEGA: usize = 64;
 /// feed it every (matrix, format) pair in turn.
 #[derive(Debug, Default)]
 pub struct ExecScratch<T> {
-    /// Index-plane scratch shared with the structural profiling layer.
+    /// Index-stream scratch shared with the structural profiling layer.
     structure: StructureScratch,
+    /// ELL / HYB-head padded column plane.
+    cols: Vec<u32>,
     /// ELL / HYB-head padded value plane; CSR5 transposed tile values.
     vals: Vec<T>,
     /// HYB tail values.
@@ -62,6 +67,7 @@ impl<T: Scalar> ExecScratch<T> {
     pub fn new() -> ExecScratch<T> {
         ExecScratch {
             structure: StructureScratch::new(),
+            cols: Vec::new(),
             vals: Vec::new(),
             tail_vals: Vec::new(),
             brows: Vec::new(),
@@ -227,8 +233,8 @@ impl<'a, T: Scalar> PreparedMatrix<'a, T> {
     ) -> Result<PreparedMatrix<'a, T>, MatrixError> {
         let (n_rows, n_cols) = csr.shape();
         let nnz = csr.nnz();
-        // The structural layer derives every index plane; this function
-        // only adds the value planes it deliberately omits.
+        // The structural layer derives the reordered index streams; this
+        // function adds the value planes and the ELL/HYB-head planes.
         let structure = FormatStructure::build(csr, format, stats, &mut scratch.structure)?;
         Ok(match structure {
             FormatStructure::Coo(s) => PreparedMatrix::Coo(CooExec {
@@ -266,40 +272,31 @@ impl<'a, T: Scalar> PreparedMatrix<'a, T> {
                 }
             }
             FormatStructure::Ell(s) => {
-                build_padded_vals(
-                    csr.row_ptr(),
-                    csr.values(),
-                    n_rows,
-                    s.width,
-                    &mut scratch.vals,
-                );
+                build_padded_planes(csr, s.width, &mut scratch.cols, &mut scratch.vals, None);
                 PreparedMatrix::Ell(EllExec {
                     n_rows,
                     n_cols,
                     nnz: s.nnz,
                     width: s.width,
-                    col_plane: s.col_plane,
+                    col_plane: &scratch.cols,
                     val_plane: &scratch.vals,
                 })
             }
             FormatStructure::Hyb(s) => {
-                let k = s.ell.width;
-                build_hyb_vals(
-                    csr.row_ptr(),
-                    csr.values(),
-                    n_rows,
-                    stats.hyb_threshold(),
-                    k,
+                build_padded_planes(
+                    csr,
+                    s.ell.width,
+                    &mut scratch.cols,
                     &mut scratch.vals,
-                    &mut scratch.tail_vals,
+                    Some(&mut scratch.tail_vals),
                 );
                 PreparedMatrix::Hyb(HybExec {
                     head: EllExec {
                         n_rows,
                         n_cols,
                         nnz: s.ell.nnz,
-                        width: k,
-                        col_plane: s.ell.col_plane,
+                        width: s.ell.width,
+                        col_plane: &scratch.cols,
                         val_plane: &scratch.vals,
                     },
                     tail: CooExec {
@@ -400,46 +397,53 @@ impl<'a, T: Scalar> PreparedMatrix<'a, T> {
     }
 }
 
-/// Fill `plane` with the column-major padded value plane matching the ELL
-/// column plane (zero in padding slots, as `EllMatrix::from_csr` writes).
-fn build_padded_vals<T: Scalar>(
-    row_ptr: &[u32],
-    vals: &[T],
-    n_rows: usize,
+/// Fill the column-major padded column and value planes of width `width`:
+/// each row's first `min(len, width)` entries, column 0 and value zero in
+/// padding slots (as `EllMatrix::from_csr` writes them). With `tail`, the
+/// rest of each row's values go there in row-major order: the HYB tail's
+/// value stream when `width` is the head width (HYB's split `min(len,
+/// threshold)` equals `min(len, head_width)` because the head width is
+/// `min(max_row_len, threshold)`).
+fn build_padded_planes<T: Scalar>(
+    csr: &CsrMatrix<T>,
     width: usize,
-    plane: &mut Vec<T>,
+    cols: &mut Vec<u32>,
+    vals: &mut Vec<T>,
+    tail: Option<&mut Vec<T>>,
 ) {
-    plane.clear();
-    plane.resize(n_rows * width, T::ZERO);
-    for (r, w) in row_ptr.windows(2).enumerate() {
-        let (s, e) = (w[0] as usize, w[1] as usize);
-        for (k, &v) in vals[s..e].iter().enumerate() {
-            plane[k * n_rows + r] = v;
-        }
-    }
+    // One plane per walk: a row scatters one write per slot, and a second
+    // plane in the same walk doubles the cache lines those writes keep
+    // open.
+    fill_plane(csr.row_ptr(), csr.col_idx(), width, cols, None);
+    fill_plane(csr.row_ptr(), csr.values(), width, vals, tail);
 }
 
-/// Fill the HYB head value plane and tail value stream (split mirrors
-/// `HybMatrix::from_csr`: each row's first `min(len, k)` entries head).
-fn build_hyb_vals<T: Scalar>(
+/// Fill `plane` with the column-major padded plane of width `width` over
+/// the row-contiguous `src`: slot `k` of row `r` at `k * n_rows + r`,
+/// the default value in padding slots. Entries past `width` go to `tail`,
+/// if given, in row-major order.
+fn fill_plane<V: Copy + Default>(
     row_ptr: &[u32],
-    vals: &[T],
-    n_rows: usize,
-    k: usize,
-    head_width: usize,
-    plane: &mut Vec<T>,
-    tail: &mut Vec<T>,
+    src: &[V],
+    width: usize,
+    plane: &mut Vec<V>,
+    mut tail: Option<&mut Vec<V>>,
 ) {
+    let n_rows = row_ptr.len() - 1;
     plane.clear();
-    plane.resize(n_rows * head_width, T::ZERO);
-    tail.clear();
+    plane.resize(n_rows * width, V::default());
+    if let Some(tail) = tail.as_deref_mut() {
+        tail.clear();
+    }
     for (r, w) in row_ptr.windows(2).enumerate() {
         let (s, e) = (w[0] as usize, w[1] as usize);
-        let split = (e - s).min(k);
-        for (slot, &v) in vals[s..s + split].iter().enumerate() {
-            plane[slot * n_rows + r] = v;
+        let split = s + (e - s).min(width);
+        for (k, &v) in src[s..split].iter().enumerate() {
+            plane[k * n_rows + r] = v;
         }
-        tail.extend_from_slice(&vals[s + split..e]);
+        if let Some(tail) = tail.as_deref_mut() {
+            tail.extend_from_slice(&src[split..e]);
+        }
     }
 }
 
@@ -541,5 +545,105 @@ fn build_tile_rows(
             r += 1;
         }
         tile_rows.push(r as u32);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spmv_matrix::{EllMatrix, Format, HybMatrix, TripletBuilder};
+
+    /// Deterministic pseudo-random CSR with skew: row 0 is heavy.
+    fn sample_csr(n: usize, m: usize, per_row: usize, heavy: usize) -> CsrMatrix<f64> {
+        let mut b = TripletBuilder::new(n, m);
+        let mut state = 0x243f_6a88_85a3_08d3u64;
+        for c in 0..heavy.min(m) {
+            b.push_unchecked(0, c as u32, 1.0 + c as f64);
+        }
+        for r in 1..n {
+            for _ in 0..per_row {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let c = (state >> 33) as usize % m;
+                b.push(r, c, (state >> 40) as f64).ok();
+            }
+        }
+        b.build().to_csr()
+    }
+
+    fn cases() -> Vec<CsrMatrix<f64>> {
+        vec![
+            sample_csr(60, 40, 5, 30),
+            sample_csr(33, 70, 9, 0),
+            sample_csr(1, 8, 3, 8),
+            CsrMatrix::from_parts(0, 0, vec![0], vec![], vec![]).unwrap(),
+            CsrMatrix::from_parts(3, 5, vec![0, 0, 0, 0], vec![], vec![]).unwrap(),
+        ]
+    }
+
+    /// The prepared ELL planes, or the HYB head's, with its tail values.
+    fn planes<'a>(p: &PreparedMatrix<'a, f64>) -> (EllExec<'a, f64>, &'a [f64]) {
+        match *p {
+            PreparedMatrix::Ell(v) => (v, &[]),
+            PreparedMatrix::Hyb(v) => (v.head, v.tail.vals),
+            _ => panic!("not a padded format"),
+        }
+    }
+
+    #[test]
+    fn ell_planes_match_ell_matrix_planes() {
+        for csr in cases() {
+            let stats = RowStats::of(csr.row_ptr());
+            let mut scratch = ExecScratch::new();
+            let p = PreparedMatrix::build(&csr, Format::Ell, &stats, &mut scratch).unwrap();
+            let e = EllMatrix::from_csr(&csr).unwrap();
+            let (v, _) = planes(&p);
+            assert_eq!(v.width, e.width());
+            assert_eq!(v.col_plane, e.col_plane());
+            assert_eq!(v.val_plane, e.val_plane());
+        }
+    }
+
+    #[test]
+    fn hyb_planes_match_hyb_matrix_parts() {
+        for csr in cases() {
+            let stats = RowStats::of(csr.row_ptr());
+            let mut scratch = ExecScratch::new();
+            let p = PreparedMatrix::build(&csr, Format::Hyb, &stats, &mut scratch).unwrap();
+            let h = HybMatrix::from_csr(&csr);
+            let (head, tail_vals) = planes(&p);
+            assert_eq!(head.width, h.ell_part().width());
+            assert_eq!(head.col_plane, h.ell_part().col_plane());
+            assert_eq!(head.val_plane, h.ell_part().val_plane());
+            assert_eq!(tail_vals, h.coo_part().values());
+        }
+    }
+
+    #[test]
+    fn scratch_reuses_cleanly_across_matrices_and_formats() {
+        // Interleave matrices of different shapes through one scratch; the
+        // prepared planes must not leak state between builds.
+        let mats = cases();
+        let mut scratch = ExecScratch::new();
+        for _ in 0..2 {
+            for csr in &mats {
+                let stats = RowStats::of(csr.row_ptr());
+                for fmt in Format::ALL {
+                    let Ok(p) = PreparedMatrix::build(csr, fmt, &stats, &mut scratch) else {
+                        continue;
+                    };
+                    assert_eq!(p.format(), fmt);
+                    if fmt == Format::Ell {
+                        let e = EllMatrix::from_csr(csr).unwrap();
+                        assert_eq!(planes(&p).0.col_plane, e.col_plane());
+                    }
+                    if fmt == Format::Hyb {
+                        let h = HybMatrix::from_csr(csr);
+                        assert_eq!(planes(&p).0.col_plane, h.ell_part().col_plane());
+                    }
+                }
+            }
+        }
     }
 }

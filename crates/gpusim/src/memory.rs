@@ -8,6 +8,8 @@
 //! the column streams in warp-shaped chunks — this is what makes the model
 //! sensitive to the *spatial* structure the paper's feature set 3 captures.
 
+use spmv_matrix::EllStructure;
+
 /// Transactions are counted at two granularities simultaneously because one
 /// 32-byte sector holds 8 `f32` or 4 `f64` elements.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -29,145 +31,408 @@ impl GatherCount {
             self.tx_single
         }
     }
-
-    /// Accumulate another count.
-    pub fn merge(&mut self, other: GatherCount) {
-        self.accesses += other.accesses;
-        self.tx_single += other.tx_single;
-        self.tx_double += other.tx_double;
-    }
 }
 
 /// Count distinct cache lines touched by each consecutive `warp`-sized chunk
-/// of `cols`. `line_bytes` is the transaction granularity; elements per line
-/// are `line_bytes/4` (f32) and `line_bytes/8` (f64).
+/// of `cols`. `line_bytes` is the transaction granularity, a power of two of
+/// at least 8 bytes; elements per line are `line_bytes/4` (f32) and
+/// `line_bytes/8` (f64).
 ///
-/// One pass per chunk, both granularities fused:
-/// * **Sorted chunks** (CSR row streams arrive presorted, so this is the
-///   per-row hot case) are counted by a direct adjacent-transition scan —
-///   shifting is monotone, so equal lines are adjacent at every granularity
-///   at once.
-/// * **Unsorted chunks** (ELL/CSR5 planes, row-crossing COO/merge chunks)
-///   fall back to epoch-stamped open-addressing tables on the stack: O(w)
-///   expected inserts instead of a sort or the oracle's O(w²) scans. The
-///   tables are built lazily, so all-sorted streams never pay their setup.
-///
-/// Distinct-line counts are exact integers either way, so this is equal to
+/// Distinct-line counts are exact integers, so this is equal to
 /// [`count_gather_reference`] by construction — the byte-identical artifact
 /// invariant rests on that equality, which the property tests pin.
 pub fn count_gather(cols: &[u32], warp: usize, line_bytes: usize) -> GatherCount {
-    debug_assert!(warp > 0 && warp <= 64);
-    let shift_single = (line_bytes / 4).trailing_zeros();
-    let shift_double = (line_bytes / 8).trailing_zeros();
-    let mut out = GatherCount::default();
-    let mut tables: Option<DistinctTables> = None;
-    for chunk in cols.chunks(warp) {
-        // `chunks` never yields an empty chunk: the first lane opens one
-        // line at each granularity, every later lane adds a line exactly
-        // when its shifted key differs from its sorted predecessor's.
-        let mut tx_single = 1u32;
-        let mut tx_double = 1u32;
-        let mut sorted = true;
-        let mut prev = chunk[0];
-        for &c in &chunk[1..] {
-            if c < prev {
-                sorted = false;
-                break;
-            }
-            tx_single += u32::from(c >> shift_single != prev >> shift_single);
-            tx_double += u32::from(c >> shift_double != prev >> shift_double);
-            prev = c;
+    let mut counter = GatherCounter::new(line_bytes);
+    counter.stream(cols, warp);
+    counter.finish()
+}
+
+/// Warp-32 distinct-line count over the padded column-major plane `view`
+/// describes, without materialising it: equal to [`count_gather`] over
+/// [`spmv_matrix::EllMatrix::col_plane`] (or the HYB head's plane) with
+/// warp 32.
+///
+/// Chunk `j` of the plane covers positions `32j..32j + 32` in column-major
+/// order, so a chunk holds 32 consecutive rows at one slot `k`, or, where
+/// it crosses the end of a slot, the last rows at `k` and the first rows at
+/// `k + 1` (and, with fewer than 32 rows, several slots). A chunk whose
+/// rows are all no longer than its slots is pure padding: 32 reads of
+/// column 0, one line at each granularity, counted in O(1). Every other
+/// chunk gathers its real entries into a stack buffer and goes through the
+/// same chunk counter as [`count_gather`], with column 0 standing in for
+/// its padding lanes: a distinct-line count does not change when a column
+/// repeats.
+///
+/// Rows are visited in aligned groups of 32. The whole chunks that start
+/// in a group read its rows and, when `n_rows` is not a multiple of 32,
+/// some of the next group's; running maxima of those 64 row lengths give
+/// each chunk's longest row in O(1), and the slots past the longest of
+/// all are counted in one step.
+pub fn count_gather_ell(view: &EllStructure<'_>, line_bytes: usize) -> GatherCount {
+    let mut counter = GatherCounter::new(line_bytes);
+    count_plane(view, &mut counter);
+    counter.finish()
+}
+
+/// Incremental distinct-line counter: feed it warp chunks one at a time
+/// and read both granularities' totals at the end.
+///
+/// One pass per chunk, both granularities fused:
+/// * every chunk is scanned without branching: each adjacent pair adds a
+///   descent flag and a line transition at each granularity (shifting is
+///   monotone, so on a sorted chunk equal lines are adjacent at both
+///   granularities at once), and the scan keeps the chunk's smallest
+///   column. Full 32-lane chunks take a fixed-width path the compiler
+///   unrolls and vectorises.
+/// * a chunk with no descent is sorted, and its transitions are its
+///   counts. CSR row streams arrive sorted, so this is the per-row hot
+///   case.
+/// * an unsorted chunk goes through one epoch-stamped open-addressing
+///   table on the stack, keyed by the `f32` line (`c >> shift`). The
+///   `f64` line is `c >> (shift - 1)`, which splits each `f32` line in
+///   two, so each slot holds a 2-bit mask of which halves were touched:
+///   the `f32` count is the number of keys and the `f64` count the sum of
+///   the masks' popcounts. The table is built lazily, so streams that
+///   never need it never pay its setup.
+pub(crate) struct GatherCounter {
+    /// `log2` of the `f32` elements per line; the `f64` shift is one less.
+    shift: u32,
+    accesses: u64,
+    tx_single: u64,
+    tx_double: u64,
+    table: Option<LineTable>,
+}
+
+impl GatherCounter {
+    /// An empty counter for `line_bytes`-byte transactions (a power of two
+    /// holding at least one `f64`).
+    pub(crate) fn new(line_bytes: usize) -> GatherCounter {
+        assert!(
+            line_bytes >= 8 && line_bytes.is_power_of_two(),
+            "line size must be a power of two of at least 8 bytes, got {line_bytes}"
+        );
+        GatherCounter {
+            shift: (line_bytes / 4).trailing_zeros(),
+            accesses: 0,
+            tx_single: 0,
+            tx_double: 0,
+            table: None,
         }
-        if !sorted {
-            let t = tables.get_or_insert_with(DistinctTables::new);
-            (tx_single, tx_double) = t.count_distinct(chunk, shift_single, shift_double);
-        }
-        out.accesses += 1.0;
-        out.tx_single += f64::from(tx_single);
-        out.tx_double += f64::from(tx_double);
     }
-    out
+
+    /// Count each consecutive `warp`-sized chunk of `cols`.
+    pub(crate) fn stream(&mut self, cols: &[u32], warp: usize) {
+        assert!(
+            warp > 0 && warp <= MAX_WARP,
+            "warp width {warp} out of range"
+        );
+        for chunk in cols.chunks(warp) {
+            self.chunk(chunk);
+        }
+    }
+
+    /// Count one warp access: the distinct lines among `chunk`'s lanes
+    /// (non-empty, at most 64 lanes).
+    #[inline]
+    pub(crate) fn chunk(&mut self, chunk: &[u32]) {
+        let (single, double, _) = self.distinct(chunk);
+        self.add(single, double);
+    }
+
+    /// Count one warp access whose lanes read `cols` and, when `padded`,
+    /// column 0 in the rest (ELL padding slots). Equal to [`Self::chunk`]
+    /// over all the lanes, because a distinct-line count does not depend
+    /// on how often or where a column appears.
+    pub(crate) fn padded_chunk(&mut self, cols: &[u32], padded: bool) {
+        if cols.is_empty() {
+            debug_assert!(padded, "a warp access has at least one lane");
+            return self.single_line_chunks(1);
+        }
+        let (mut single, mut double, lo) = self.distinct(cols);
+        if padded {
+            // Column 0 opens a line of its own unless the smallest
+            // column already shares it.
+            single += u32::from(lo >> self.shift != 0);
+            double += u32::from(lo >> (self.shift - 1) != 0);
+        }
+        self.add(single, double);
+    }
+
+    /// Count `n` warp accesses that each touch exactly one line at both
+    /// granularities (an all-padding ELL chunk reads column 0 32 times).
+    pub(crate) fn single_line_chunks(&mut self, n: u64) {
+        self.accesses += n;
+        self.tx_single += n;
+        self.tx_double += n;
+    }
+
+    /// The totals so far.
+    pub(crate) fn finish(&self) -> GatherCount {
+        GatherCount {
+            accesses: self.accesses as f64,
+            tx_single: self.tx_single as f64,
+            tx_double: self.tx_double as f64,
+        }
+    }
+
+    fn add(&mut self, single: u32, double: u32) {
+        self.accesses += 1;
+        self.tx_single += u64::from(single);
+        self.tx_double += u64::from(double);
+    }
+
+    /// Distinct `f32` and `f64` lines among `chunk`'s lanes (non-empty,
+    /// at most 64), and its smallest column.
+    #[inline]
+    fn distinct(&mut self, chunk: &[u32]) -> (u32, u32, u32) {
+        debug_assert!(!chunk.is_empty() && chunk.len() <= MAX_WARP);
+        let shift = self.shift;
+        let s = match <&[u32; 32]>::try_from(chunk) {
+            Ok(full) => scan(full, shift),
+            Err(_) => scan(chunk, shift),
+        };
+        if s.descents == 0 {
+            // The first lane opens one line at each granularity.
+            return (1 + s.single, 1 + s.double, s.lo);
+        }
+        let (single, double) = self
+            .table
+            .get_or_insert_with(LineTable::new)
+            .count(chunk, shift);
+        (single, double, s.lo)
+    }
+}
+
+/// Widest warp chunk a counter accepts (CSR5 tiles go up to 64 lanes).
+const MAX_WARP: usize = 64;
+
+/// What one branch-free pass over a chunk learns.
+struct Scan {
+    /// Adjacent lane pairs whose column decreases.
+    descents: u32,
+    /// Adjacent pairs on different `f32` lines.
+    single: u32,
+    /// Adjacent pairs on different `f64` lines.
+    double: u32,
+    /// Smallest column.
+    lo: u32,
+}
+
+/// Branch-free scan of one chunk: descents between adjacent lanes, line
+/// transitions at the `f32` (`shift`) and `f64` (`shift - 1`)
+/// granularities, and the smallest column. Generic so a `[u32; 32]` gets a
+/// fixed-width loop.
+#[inline(always)]
+fn scan<C: AsRef<[u32]> + ?Sized>(chunk: &C, shift: u32) -> Scan {
+    let c = chunk.as_ref();
+    let mut s = Scan {
+        descents: 0,
+        single: 0,
+        double: 0,
+        lo: c[0],
+    };
+    for (&a, &b) in c.iter().zip(&c[1..]) {
+        s.descents += u32::from(b < a);
+        let diff = a ^ b;
+        s.single += u32::from(diff >> shift != 0);
+        s.double += u32::from(diff >> (shift - 1) != 0);
+        s.lo = s.lo.min(b);
+    }
+    s
 }
 
 /// Table capacity: twice the 64-lane chunk maximum, so the load factor
 /// stays ≤ 0.5 and linear probing terminates in O(1) expected probes.
 const TABLE_SLOTS: usize = 128;
 
-/// Stack-allocated epoch-stamped hash tables for exact distinct-line
-/// counting on unsorted chunks — one table per granularity. A slot is live
-/// only when its stamp matches the current epoch, so "clearing" between
-/// chunks is a single counter bump, not a memset.
-struct DistinctTables {
-    keys_single: [u32; TABLE_SLOTS],
-    stamp_single: [u32; TABLE_SLOTS],
-    keys_double: [u32; TABLE_SLOTS],
-    stamp_double: [u32; TABLE_SLOTS],
+/// Stack-allocated epoch-stamped hash table for exact distinct-line
+/// counting on unsorted chunks. A slot is live only when its stamp matches
+/// the current epoch, so "clearing" between chunks is a single counter
+/// bump, not a memset.
+struct LineTable {
+    /// `f32` line of each live slot.
+    keys: [u32; TABLE_SLOTS],
+    stamps: [u32; TABLE_SLOTS],
+    /// Which of the key's two `f64` lines were touched (bit 0: even, bit
+    /// 1: odd).
+    halves: [u8; TABLE_SLOTS],
     epoch: u32,
 }
 
-impl DistinctTables {
-    fn new() -> DistinctTables {
-        DistinctTables {
-            keys_single: [0; TABLE_SLOTS],
-            stamp_single: [0; TABLE_SLOTS],
-            keys_double: [0; TABLE_SLOTS],
-            stamp_double: [0; TABLE_SLOTS],
+impl LineTable {
+    fn new() -> LineTable {
+        LineTable {
+            keys: [0; TABLE_SLOTS],
+            stamps: [0; TABLE_SLOTS],
+            halves: [0; TABLE_SLOTS],
             epoch: 0,
         }
     }
 
-    /// Exact distinct counts of `c >> shift` at both granularities over one
-    /// ≤64-lane chunk.
-    fn count_distinct(
-        &mut self,
-        chunk: &[u32],
-        shift_single: u32,
-        shift_double: u32,
-    ) -> (u32, u32) {
+    /// Exact distinct line counts at the `f32` and `f64` granularities
+    /// over one ≤64-lane chunk. The `f64` count is the sum of the live
+    /// slots' mask popcounts, tallied as bits are first set.
+    fn count(&mut self, chunk: &[u32], shift: u32) -> (u32, u32) {
         if self.epoch == u32::MAX {
             // Epoch wrap would resurrect stale stamps; reset (unreachable
             // in practice — one epoch per chunk).
-            *self = DistinctTables::new();
+            *self = LineTable::new();
         }
         self.epoch += 1;
         let e = self.epoch;
-        let mut n_single = 0u32;
-        let mut n_double = 0u32;
+        let (mut single, mut double) = (0u32, 0u32);
         for &c in chunk {
-            n_single += insert(
-                &mut self.keys_single,
-                &mut self.stamp_single,
-                e,
-                c >> shift_single,
-            );
-            n_double += insert(
-                &mut self.keys_double,
-                &mut self.stamp_double,
-                e,
-                c >> shift_double,
-            );
+            let key = c >> shift;
+            let half = 1u8 << ((c >> (shift - 1)) & 1);
+            // Fibonacci multiplicative hash down to the 7-bit slot index.
+            // At most 64 live keys in 128 slots, so an unstamped slot
+            // always exists and the probe loop terminates.
+            let mut i = (key.wrapping_mul(0x9E37_79B1) >> 25) as usize;
+            loop {
+                if self.stamps[i] != e {
+                    self.stamps[i] = e;
+                    self.keys[i] = key;
+                    self.halves[i] = half;
+                    single += 1;
+                    double += 1;
+                    break;
+                }
+                if self.keys[i] == key {
+                    // Store only a new half: a run of one column would
+                    // otherwise chain every lane through this slot.
+                    if self.halves[i] & half == 0 {
+                        self.halves[i] |= half;
+                        double += 1;
+                    }
+                    break;
+                }
+                i = (i + 1) % TABLE_SLOTS;
+            }
         }
-        (n_single, n_double)
+        (single, double)
     }
 }
 
-/// Insert `key` into an epoch-stamped table; returns 1 if it was new this
-/// epoch. At most 64 live keys in 128 slots, so an unstamped slot always
-/// exists and the probe loop terminates.
+/// Lanes per warp access of the ELL kernel.
+const ELL_WARP: usize = 32;
+
+/// Stored entries of row `r` of the plane's CSR rows.
 #[inline]
-fn insert(keys: &mut [u32; TABLE_SLOTS], stamps: &mut [u32; TABLE_SLOTS], e: u32, key: u32) -> u32 {
-    // Fibonacci multiplicative hash down to the 7-bit slot index.
-    let mut i = (key.wrapping_mul(0x9E37_79B1) >> 25) as usize;
-    loop {
-        if stamps[i] != e {
-            stamps[i] = e;
-            keys[i] = key;
-            return 1;
+fn row_len(view: &EllStructure<'_>, r: usize) -> usize {
+    (view.row_ptr[r + 1] - view.row_ptr[r]) as usize
+}
+
+/// `out[j]` = the longest row among `rows.start + j..rows.end` when
+/// `from_end`, else among `rows.start..rows.start + j`, for `j` up to 32;
+/// rows past `n_rows` count as empty.
+fn running_max(
+    view: &EllStructure<'_>,
+    rows: std::ops::Range<usize>,
+    from_end: bool,
+) -> [usize; ELL_WARP + 1] {
+    let len = |r: usize| if r < view.n_rows { row_len(view, r) } else { 0 };
+    let mut out = [0; ELL_WARP + 1];
+    for j in 1..=ELL_WARP {
+        out[j] = if from_end {
+            out[j - 1].max(len(rows.end - j))
+        } else {
+            out[j - 1].max(len(rows.start + j - 1))
+        };
+    }
+    if from_end {
+        out.reverse();
+    }
+    out
+}
+
+/// Count one chunk of `lanes` entries starting at flat position `p`
+/// (slot-major: position `k * n_rows + r`), which may cross slots: its
+/// real entries, plus column 0 if any lane is padding.
+fn gather(view: &EllStructure<'_>, p: usize, lanes: usize, counter: &mut GatherCounter) {
+    let mut buf = [0u32; ELL_WARP];
+    let (mut k, mut r) = (p / view.n_rows, p % view.n_rows);
+    let mut real = 0;
+    for _ in 0..lanes {
+        if k < row_len(view, r) {
+            buf[real] = view.col_idx[view.row_ptr[r] as usize + k];
+            real += 1;
         }
-        if keys[i] == key {
-            return 0;
+        r += 1;
+        if r == view.n_rows {
+            r = 0;
+            k += 1;
         }
-        i = (i + 1) % TABLE_SLOTS;
+    }
+    counter.padded_chunk(&buf[..real], real < lanes);
+}
+
+/// Feed every warp chunk of the plane `view` describes to `counter`.
+fn count_plane(view: &EllStructure<'_>, counter: &mut GatherCounter) {
+    let (n, width) = (view.n_rows, view.width);
+    let total = n * width;
+    if n < ELL_WARP {
+        // A chunk spans several slots: gather every one.
+        for p in (0..total).step_by(ELL_WARP) {
+            gather(view, p, ELL_WARP.min(total - p), counter);
+        }
+        return;
+    }
+    // Row offset of slot `k`'s first whole chunk: slot `k` starts at flat
+    // position `k * n`, and chunks start at multiples of 32.
+    let phase = |k: usize| (k * n).wrapping_neg() % ELL_WARP;
+    for g in 0..n / ELL_WARP {
+        let first = g * ELL_WARP;
+        let mid = first + ELL_WARP;
+        // The whole chunk at phase `ph` reads rows `first + ph..mid` and
+        // `mid..mid + ph`: the longest of them is `max(own[ph], next[ph])`,
+        // and it has a real entry at slot `k` exactly when that maximum
+        // exceeds `k`.
+        let own = running_max(view, first..mid, true);
+        let next = running_max(view, mid..mid + ELL_WARP, false);
+        let longest = |ph: usize| own[ph].max(next[ph]);
+        let bound = if n % ELL_WARP == 0 {
+            own[0]
+        } else {
+            own[0].max(next[ELL_WARP])
+        }
+        .min(width);
+        let every_slot_whole = n % ELL_WARP == 0 || mid + ELL_WARP <= n;
+        if every_slot_whole {
+            // Slots at or past `bound` are padding in every window.
+            counter.single_line_chunks((width - bound) as u64);
+        }
+        let slots = if every_slot_whole { bound } else { width };
+        for k in 0..slots {
+            let ph = phase(k);
+            if first + ph + ELL_WARP > n {
+                // Runs past the slot's last row: a boundary chunk.
+                continue;
+            }
+            if k < longest(ph) {
+                gather(view, k * n + first + ph, ELL_WARP, counter);
+            } else {
+                counter.single_line_chunks(1);
+            }
+        }
+    }
+    if n % ELL_WARP != 0 {
+        // Boundary chunks: the chunk holding the start of slot `k` reads
+        // the last `32 - ph` rows at slot `k - 1` and the first `ph` rows
+        // at slot `k`; at `k == width` it is the plane's short last chunk.
+        let tail = running_max(view, n - ELL_WARP..n, true);
+        let head = running_max(view, 0..ELL_WARP, false);
+        for k in 1..=width {
+            let ph = phase(k);
+            if ph == 0 {
+                continue;
+            }
+            let lanes = if k < width { ELL_WARP } else { ELL_WARP - ph };
+            if tail[ph] < k && (k == width || head[ph] <= k) {
+                counter.single_line_chunks(1);
+            } else {
+                gather(view, k * n - (ELL_WARP - ph), lanes, counter);
+            }
+        }
     }
 }
 
@@ -317,16 +582,6 @@ mod tests {
         let g = count_gather(&cols, 32, 32);
         assert_eq!(g.tx_single, 2.0);
         assert_eq!(g.tx_double, 2.0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let a = count_gather(&[0, 1, 2], 32, 32);
-        let b = count_gather(&[100, 200], 32, 32);
-        let mut m = a;
-        m.merge(b);
-        assert_eq!(m.accesses, 2.0);
-        assert_eq!(m.tx_single, a.tx_single + b.tx_single);
     }
 
     #[test]

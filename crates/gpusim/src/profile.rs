@@ -15,7 +15,7 @@
 
 use spmv_matrix::{Csr5Config, Format, FormatStructure, HybStructure, Scalar, SparseMatrix};
 
-use crate::memory::{count_gather, GatherCount};
+use crate::memory::{count_gather, count_gather_ell, GatherCount, GatherCounter};
 
 /// Per-format cost coefficients, in units of "lane-slots" (one slot ≈ one
 /// issued warp-lane operation at the model's IPC efficiency).
@@ -151,11 +151,13 @@ impl KernelProfile {
     }
 
     /// Profile the kernel for a value-free structural view
-    /// ([`FormatStructure`]). Every arm dispatches into the *same* raw-slice
-    /// core as [`KernelProfile::of`] over the same index layouts, so the two
-    /// entry points are equal — not approximately, bit-for-bit — which is
-    /// what lets the labeling pipeline profile without materializing value
-    /// planes while keeping its artifacts byte-identical.
+    /// ([`FormatStructure`]). Every arm dispatches into the *same* core as
+    /// [`KernelProfile::of`] over the same index layouts — ELL and the HYB
+    /// head read their padded plane from the CSR rows, entry for entry —
+    /// so the two entry points are equal — not approximately, bit-for-bit
+    /// — which is what lets the labeling pipeline profile without
+    /// materializing value or padded index planes while keeping its
+    /// artifacts byte-identical.
     pub fn of_structure(s: &FormatStructure<'_>) -> KernelProfile {
         KernelProfile::of_structure_cached(s, &mut ProfileCache::new())
     }
@@ -173,7 +175,7 @@ impl KernelProfile {
             }
             FormatStructure::Csr(v) => profile_csr_raw(v.n_rows, v.n_cols, v.row_ptr, v.col_idx),
             FormatStructure::Ell(v) => {
-                profile_ell_raw(v.n_rows, v.n_cols, v.nnz, v.width, v.col_plane)
+                profile_ell_raw(v.n_rows, v.n_cols, v.nnz, v.width, count_gather_ell(v, 32))
             }
             FormatStructure::Hyb(v) => profile_hyb_structure(v),
             FormatStructure::MergeCsr(v) => {
@@ -202,8 +204,11 @@ impl KernelProfile {
     }
 }
 
+/// `len` rounded up to whole 32-wide warp steps. Integer arithmetic gives
+/// the exact value `(len / 32).ceil() * 32` does in `f64`, without a
+/// `ceil` call per row.
 fn warp_ceil(len: usize) -> f64 {
-    (len as f64 / 32.0).ceil() * 32.0
+    len.next_multiple_of(32) as f64
 }
 
 /// Ablation model: the **scalar** CSR kernel (one *thread* per row, paper
@@ -346,15 +351,16 @@ fn profile_csr_raw(
 ) -> KernelProfile {
     let nnz = col_idx.len();
     let mut lane_work = 0.0;
-    let mut gather = GatherCount::default();
+    // One warp per row: each row's stream is chunked on its own.
+    let mut gather = GatherCounter::new(32);
     let mut max_row = 0usize;
     // Per-row accesses fetch whole sectors: a 2-element row still moves a
     // full 32 B transaction for its columns and another for its values.
     // This granularity waste — absent in the contiguous-streaming formats
     // (COO, merge, CSR5) — is why warp-per-row CSR loses on matrices
     // dominated by short rows.
-    const SECTOR: f64 = 32.0;
-    let sectors = |bytes: f64| (bytes / SECTOR).ceil() * SECTOR;
+    const SECTOR: usize = 32;
+    let sectors = |bytes: usize| bytes.next_multiple_of(SECTOR) as f64;
     let mut stream = [0.0f64; 2];
     // Block-level straggling: one thread block holds WARPS_PER_BLOCK rows;
     // the block's resources are freed only when its longest row finishes,
@@ -367,7 +373,7 @@ fn profile_csr_raw(
     let mut group_max = 0.0f64;
     for (r, w) in row_ptr.windows(2).enumerate() {
         let cols = &col_idx[w[0] as usize..w[1] as usize];
-        let l = cols.len() as f64;
+        let l = cols.len();
         let row_steps = warp_ceil(cols.len());
         lane_work += row_steps * cost::MAC + cost::CSR_ROW_OVERHEAD;
         block_work += row_steps;
@@ -376,11 +382,11 @@ fn profile_csr_raw(
             block_max_work += group_max * WARPS_PER_BLOCK as f64;
             group_max = 0.0;
         }
-        gather.merge(count_gather(cols, 32, 32));
+        gather.stream(cols, 32);
         max_row = max_row.max(cols.len());
         if !cols.is_empty() {
-            stream[0] += sectors(l * 4.0) * 2.0; // u32 cols + f32 vals
-            stream[1] += sectors(l * 4.0) + sectors(l * 8.0);
+            stream[0] += sectors(l * 4) * 2.0; // u32 cols + f32 vals
+            stream[1] += sectors(l * 4) + sectors(l * 8);
         }
     }
     let csr_imbalance = if block_work > 0.0 {
@@ -390,6 +396,7 @@ fn profile_csr_raw(
     } else {
         1.0
     };
+    let gather = gather.finish();
     KernelProfile {
         format: Format::Csr,
         flops: 2.0 * nnz as f64,
@@ -417,22 +424,23 @@ fn profile_csr_raw(
 /// (fully coalesced) matrix access. Padding costs both lanes and bytes.
 fn profile_ell<T: Scalar>(m: &spmv_matrix::EllMatrix<T>) -> KernelProfile {
     let (n_rows, n_cols) = m.shape();
-    profile_ell_raw(n_rows, n_cols, m.nnz(), m.width(), m.col_plane())
+    // Warp-step gather: at slot k, 32 consecutive rows read their k-th
+    // column — exactly consecutive entries of the column-major plane.
+    let gather = count_gather(m.col_plane(), 32, 32);
+    profile_ell_raw(n_rows, n_cols, m.nnz(), m.width(), gather)
 }
 
-/// Raw-slice core of the ELL profile. `col_plane` is the column-major
+/// Core of the ELL profile, shared by the stored plane and the
+/// structural view. `gather` is the warp-32 count over the column-major
 /// padded plane (`n_rows * width` slots).
 fn profile_ell_raw(
     n_rows: usize,
     n_cols: usize,
     nnz: usize,
     width: usize,
-    col_plane: &[u32],
+    gather: GatherCount,
 ) -> KernelProfile {
-    let padded = col_plane.len() as f64;
-    // Warp-step gather: at slot k, 32 consecutive rows read their k-th
-    // column — exactly consecutive entries of the column-major plane.
-    let gather = count_gather(col_plane, 32, 32);
+    let padded = (n_rows * width) as f64;
     KernelProfile {
         format: Format::Ell,
         flops: 2.0 * nnz as f64,
@@ -471,15 +479,15 @@ fn profile_hyb<T: Scalar>(m: &spmv_matrix::HybMatrix<T>) -> KernelProfile {
     hyb_with_tail(ell, coo, m.n_rows(), m.n_cols(), m.nnz())
 }
 
-/// Structural-view twin of [`profile_hyb`]: same head/tail dispatch over
-/// the same derived layouts.
+/// Structural-view twin of [`profile_hyb`]: same head/tail dispatch, the
+/// head counted from its plane view, the tail over the derived streams.
 fn profile_hyb_structure(v: &HybStructure<'_>) -> KernelProfile {
     let ell = profile_ell_raw(
         v.ell.n_rows,
         v.ell.n_cols,
         v.ell.nnz,
         v.ell.width,
-        v.ell.col_plane,
+        count_gather_ell(&v.ell, 32),
     );
     if v.tail.cols.is_empty() {
         return hyb_without_tail(ell);

@@ -3,9 +3,12 @@
 //! conservation properties (flops, footprints, transaction bounds).
 
 use proptest::prelude::*;
-use spmv_gpusim::memory::{count_gather, count_gather_reference};
+use spmv_gpusim::memory::{count_gather, count_gather_ell, count_gather_reference};
 use spmv_gpusim::{GpuArch, KernelProfile, Simulator};
-use spmv_matrix::{CsrMatrix, Format, Precision, SparseMatrix, TripletBuilder};
+use spmv_matrix::{
+    CsrMatrix, EllMatrix, Format, FormatStructure, HybMatrix, Precision, RowStats, SparseMatrix,
+    StructureScratch, TripletBuilder,
+};
 
 fn arb_matrix() -> impl Strategy<Value = CsrMatrix<f64>> {
     (1usize..60, 1usize..60)
@@ -22,8 +25,135 @@ fn arb_matrix() -> impl Strategy<Value = CsrMatrix<f64>> {
         })
 }
 
+/// A CSR matrix straight from per-row column lists (sorted and
+/// deduplicated here), so rows can be empty, long, or hold column 0.
+fn csr_from_rows(n_cols: usize, rows: Vec<Vec<u32>>) -> CsrMatrix<f64> {
+    let mut row_ptr = vec![0u32];
+    let mut col_idx = Vec::new();
+    for mut row in rows {
+        row.sort_unstable();
+        row.dedup();
+        col_idx.extend(row);
+        row_ptr.push(col_idx.len() as u32);
+    }
+    let nnz = col_idx.len();
+    CsrMatrix::from_parts(row_ptr.len() - 1, n_cols, row_ptr, col_idx, vec![1.0; nnz])
+        .expect("valid csr")
+}
+
+/// 1..=100 rows (most not a multiple of 32) of mostly short rows, some
+/// empty and a few long enough to cross several slots, with column 0
+/// drawn often so real column-0 entries sit beside padding.
+fn arb_padded_matrix() -> impl Strategy<Value = CsrMatrix<f64>> {
+    (1usize..=100, 1usize..300)
+        .prop_flat_map(|(n_rows, n_cols)| {
+            // Draws past the last column become column 0 (about one in
+            // four); four rows in five keep at most three entries.
+            let raw = 0..(n_cols + n_cols / 3 + 1) as u32;
+            let row = (0u32..5, proptest::collection::vec(raw, 0..70));
+            (Just(n_cols), proptest::collection::vec(row, n_rows))
+        })
+        .prop_map(|(n_cols, rows)| {
+            let rows = rows
+                .into_iter()
+                .map(|(kind, mut row)| {
+                    if kind < 4 {
+                        row.truncate(row.len() % 4);
+                    }
+                    row.iter_mut().for_each(|c| {
+                        if *c >= n_cols as u32 {
+                            *c = 0;
+                        }
+                    });
+                    row
+                })
+                .collect();
+            csr_from_rows(n_cols, rows)
+        })
+}
+
+/// The ELL and HYB-head plane views count exactly what the stored planes
+/// count.
+fn assert_plane_views_match(csr: &CsrMatrix<f64>, line_bytes: usize) {
+    let stats = RowStats::of(csr.row_ptr());
+    let mut scratch = StructureScratch::new();
+    let ell = EllMatrix::from_csr(csr).expect("small matrices fit the cap");
+    match FormatStructure::build(csr, Format::Ell, &stats, &mut scratch).expect("ell") {
+        FormatStructure::Ell(v) => assert_eq!(
+            count_gather_ell(&v, line_bytes),
+            count_gather(ell.col_plane(), 32, line_bytes),
+            "ELL, {} rows, width {}",
+            v.n_rows,
+            v.width
+        ),
+        _ => unreachable!(),
+    }
+    let hyb = HybMatrix::from_csr(csr);
+    match FormatStructure::build(csr, Format::Hyb, &stats, &mut scratch).expect("hyb") {
+        FormatStructure::Hyb(v) => assert_eq!(
+            count_gather_ell(&v.ell, line_bytes),
+            count_gather(hyb.ell_part().col_plane(), 32, line_bytes),
+            "HYB head, {} rows, width {}",
+            v.ell.n_rows,
+            v.ell.width
+        ),
+        _ => unreachable!(),
+    }
+}
+
+#[test]
+fn plane_views_count_a_chunk_that_straddles_two_slots() {
+    // 40 rows: chunk 1 holds rows 32..40 at slot 0 and rows 0..24 at slot
+    // 1. Row 35's second entry keeps slot 1 real past the first group, and
+    // column-0 entries sit beside the padding.
+    let mut rows = vec![vec![0u32, 9]; 24];
+    rows.extend(vec![vec![]; 8]);
+    rows.extend((0..8).map(|i| vec![100 + 8 * i]));
+    rows[35] = vec![0, 500];
+    let csr = csr_from_rows(600, rows);
+    assert_plane_views_match(&csr, 32);
+    let stats = RowStats::of(csr.row_ptr());
+    let mut scratch = StructureScratch::new();
+    match FormatStructure::build(&csr, Format::Ell, &stats, &mut scratch).unwrap() {
+        FormatStructure::Ell(v) => {
+            let g = count_gather_ell(&v, 32);
+            // 80 slots: chunks 0..32, 32..64 (straddling) and 64..80.
+            assert_eq!(g.accesses, 3.0);
+        }
+        _ => unreachable!(),
+    }
+}
+
+#[test]
+fn plane_views_count_nothing_at_width_zero() {
+    for n_rows in [1, 31, 32, 33, 100] {
+        let csr = csr_from_rows(10, vec![vec![]; n_rows]);
+        assert_plane_views_match(&csr, 32);
+        let stats = RowStats::of(csr.row_ptr());
+        let mut scratch = StructureScratch::new();
+        match FormatStructure::build(&csr, Format::Ell, &stats, &mut scratch).unwrap() {
+            FormatStructure::Ell(v) => {
+                assert_eq!(v.width, 0);
+                assert_eq!(count_gather_ell(&v, 32).accesses, 0.0);
+            }
+            _ => unreachable!(),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn plane_views_count_exactly_what_the_stored_planes_count(
+        m in arb_padded_matrix(),
+        line_idx in 0usize..3,
+    ) {
+        // The plane-free count must reproduce `count_gather` over the
+        // materialised ELL and HYB-head planes bit for bit: it is what
+        // labeling profiles, and the stored planes are the oracle's.
+        assert_plane_views_match(&m, [32usize, 64, 128][line_idx]);
+    }
 
     #[test]
     fn profiles_conserve_counts(m in arb_matrix()) {

@@ -4,14 +4,19 @@
 //! matrix — row extents and column indices — yet the value-carrying
 //! conversion constructors ([`SparseMatrix::from_csr`]) materialize full
 //! value planes (ELL padding included) that profiling never reads. This
-//! module derives exactly the index layouts each format's kernel walks
-//! (ELL's padded column-major plane, HYB's head/tail split, CSR5's
-//! transposed tiles, COO's expanded row stream) **without allocating a
-//! single value**, into caller-owned scratch buffers that amortize to
-//! zero allocations across a labeling sweep.
+//! module describes exactly the index layouts each format's kernel walks
+//! **without allocating a single value**. Layouts that are a cheap
+//! function of the CSR rows are views: CSR and merge-CSR borrow
+//! `row_ptr`/`col_idx`, and ELL's padded column-major plane (and HYB's
+//! head, the same plane at a narrower width) is described by the rows
+//! plus its width, never written out. Layouts that reorder entries (HYB's
+//! COO tail, CSR5's transposed tiles, COO's expanded row stream) are
+//! derived into caller-owned scratch buffers that amortize to zero
+//! allocations across a labeling sweep.
 //!
 //! The derived layouts are bit-identical to what the value-carrying
-//! constructors build (tested below), so a profile computed over a
+//! constructors build (tested below), and the ELL views read entry for
+//! entry as the stored planes do, so a profile computed over a
 //! [`FormatStructure`] equals one computed over the corresponding
 //! [`SparseMatrix`] — the invariant the labeling pipeline's byte-identical
 //! artifacts rest on.
@@ -123,8 +128,6 @@ impl RowStats {
 /// buffers grow to the sweep's high-water mark and then stop allocating.
 #[derive(Debug, Default)]
 pub struct StructureScratch {
-    /// ELL / HYB-head padded column plane (column-major).
-    plane: Vec<u32>,
     /// COO / HYB-tail expanded row indices.
     rows: Vec<u32>,
     /// HYB-tail column indices.
@@ -230,20 +233,28 @@ impl<'a> From<&'a PatternCsr> for CsrStructure<'a> {
     }
 }
 
-/// ELL structure: the padded column-major column plane (padding slots hold
-/// column 0, exactly as [`EllMatrix`] stores them) — no value plane.
+/// ELL structure: a description of the padded column-major column plane
+/// [`EllMatrix`] stores, read from the CSR rows instead of written out.
+///
+/// Slot `k` of row `r` sits at plane position `k * n_rows + r` and holds
+/// the row's `k`-th column, or column 0 when the row has no `k`-th entry
+/// (a padding slot, exactly as [`EllMatrix`] stores it). Rows longer than
+/// `width` are cut at `width`, which is how the HYB head is the same view
+/// at its narrower width. No plane of any kind is allocated.
 #[derive(Debug, Clone, Copy)]
 pub struct EllStructure<'a> {
     /// Number of rows.
     pub n_rows: usize,
     /// Number of columns.
     pub n_cols: usize,
-    /// True (unpadded) non-zero count.
+    /// True (unpadded) non-zero count: the entries in slots below `width`.
     pub nnz: usize,
     /// Padded row width `K`.
     pub width: usize,
-    /// Column-index plane, column-major (`width * n_rows` slots).
-    pub col_plane: &'a [u32],
+    /// Row-pointer array of the source CSR (`n_rows + 1` entries).
+    pub row_ptr: &'a [u32],
+    /// Column indices of the source CSR, row-contiguous.
+    pub col_idx: &'a [u32],
 }
 
 impl EllStructure<'_> {
@@ -253,14 +264,18 @@ impl EllStructure<'_> {
     }
 }
 
-/// HYB structure: ELL head plus COO tail.
+/// HYB structure: ELL head plus COO tail. The head is an [`EllStructure`]
+/// over the same CSR rows at width `min(max_row_len, threshold)`, so it
+/// reads each row's first `min(len, threshold)` entries, as
+/// [`crate::HybMatrix`] stores them; only the tail is derived into
+/// scratch.
 #[derive(Debug, Clone, Copy)]
 pub struct HybStructure<'a> {
     /// Total stored non-zeros across both parts.
     pub nnz: usize,
-    /// The regular (ELL) head.
+    /// The regular (ELL) head: a plane view, nothing stored.
     pub ell: EllStructure<'a>,
-    /// The irregular (COO) spill.
+    /// The irregular (COO) spill, derived into scratch.
     pub tail: CooStructure<'a>,
 }
 
@@ -303,8 +318,9 @@ pub enum FormatStructure<'a> {
 }
 
 impl<'a> FormatStructure<'a> {
-    /// Derive the structure of `csr` in `format`, writing any derived index
-    /// layout into `scratch`. `stats` must be [`RowStats::of`] the same
+    /// Derive the structure of `csr` in `format`, writing any reordered
+    /// index layout (COO rows, HYB tail, CSR5 tiles) into `scratch`; the
+    /// other layouts borrow `csr`'s arrays. `stats` must be [`RowStats::of`] the same
     /// matrix (computed once per matrix and shared with feature
     /// extraction).
     ///
@@ -348,19 +364,13 @@ impl<'a> FormatStructure<'a> {
                         cap,
                     });
                 }
-                build_ell_plane(
-                    csr.row_ptr(),
-                    csr.col_idx(),
-                    n_rows,
-                    width,
-                    &mut scratch.plane,
-                );
                 FormatStructure::Ell(EllStructure {
                     n_rows,
                     n_cols,
                     nnz,
                     width,
-                    col_plane: &scratch.plane,
+                    row_ptr: csr.row_ptr(),
+                    col_idx: csr.col_idx(),
                 })
             }
             Format::Hyb => {
@@ -368,13 +378,10 @@ impl<'a> FormatStructure<'a> {
                 // Head rows are each row's first `min(len, k)` entries, so
                 // the head's padded width is `min(max_row_len, k)`.
                 let head_width = stats.max_row_len.min(k);
-                let head_nnz = build_hyb_layout(
+                let head_nnz = build_hyb_tail(
                     csr.row_ptr(),
                     csr.col_idx(),
-                    n_rows,
                     k,
-                    head_width,
-                    &mut scratch.plane,
                     &mut scratch.rows,
                     &mut scratch.tail_cols,
                 );
@@ -386,7 +393,8 @@ impl<'a> FormatStructure<'a> {
                         n_cols,
                         nnz: head_nnz,
                         width: head_width,
-                        col_plane: &scratch.plane,
+                        row_ptr: csr.row_ptr(),
+                        col_idx: csr.col_idx(),
                     },
                     tail: CooStructure {
                         n_rows,
@@ -444,51 +452,23 @@ fn expand_rows(row_ptr: &[u32], out: &mut Vec<u32>) {
     }
 }
 
-/// Fill `plane` with the column-major padded ELL column plane (padding
-/// slots hold column 0, as `EllMatrix::from_csr_capped` writes them).
-fn build_ell_plane(
+/// Fill the HYB tail streams; returns the head's non-zero count. The
+/// split mirrors `HybMatrix::from_csr_with_threshold`: each row's first
+/// `min(len, k)` entries to the head, the rest to the tail in row-major
+/// order.
+fn build_hyb_tail(
     row_ptr: &[u32],
     col_idx: &[u32],
-    n_rows: usize,
-    width: usize,
-    plane: &mut Vec<u32>,
-) {
-    plane.clear();
-    plane.resize(n_rows * width, 0);
-    for (r, w) in row_ptr.windows(2).enumerate() {
-        let (s, e) = (w[0] as usize, w[1] as usize);
-        for (k, &c) in col_idx[s..e].iter().enumerate() {
-            plane[k * n_rows + r] = c;
-        }
-    }
-}
-
-/// Fill the HYB head plane and tail streams; returns the head's non-zero
-/// count. The split mirrors `HybMatrix::from_csr_with_threshold`: each
-/// row's first `min(len, k)` entries to the head, the rest to the tail in
-/// row-major order.
-#[allow(clippy::too_many_arguments)]
-fn build_hyb_layout(
-    row_ptr: &[u32],
-    col_idx: &[u32],
-    n_rows: usize,
     k: usize,
-    head_width: usize,
-    plane: &mut Vec<u32>,
     tail_rows: &mut Vec<u32>,
     tail_cols: &mut Vec<u32>,
 ) -> usize {
-    plane.clear();
-    plane.resize(n_rows * head_width, 0);
     tail_rows.clear();
     tail_cols.clear();
     let mut head_nnz = 0usize;
     for (r, w) in row_ptr.windows(2).enumerate() {
         let (s, e) = (w[0] as usize, w[1] as usize);
         let split = (e - s).min(k);
-        for (slot, &c) in col_idx[s..s + split].iter().enumerate() {
-            plane[slot * n_rows + r] = c;
-        }
         head_nnz += split;
         for &c in &col_idx[s + split..e] {
             tail_rows.push(r as u32);
@@ -611,8 +591,8 @@ mod tests {
                 FormatStructure::Ell(v) => {
                     assert_eq!(v.width, e.width());
                     assert_eq!(v.nnz, e.nnz());
-                    assert_eq!(v.col_plane, e.col_plane());
                     assert_eq!(v.padded_elems(), e.padded_elems());
+                    assert_eq!((v.row_ptr, v.col_idx), (csr.row_ptr(), csr.col_idx()));
                 }
                 _ => panic!("wrong variant"),
             }
@@ -653,7 +633,7 @@ mod tests {
                     assert_eq!(v.nnz, h.nnz());
                     assert_eq!(v.ell.width, h.ell_part().width());
                     assert_eq!(v.ell.nnz, h.ell_part().nnz());
-                    assert_eq!(v.ell.col_plane, h.ell_part().col_plane());
+                    assert_eq!(v.ell.padded_elems(), h.ell_part().padded_elems());
                     assert_eq!(v.tail.rows, h.coo_part().row_indices());
                     assert_eq!(v.tail.cols, h.coo_part().col_indices());
                 }
@@ -712,9 +692,19 @@ mod tests {
                         continue;
                     };
                     assert_eq!(s.format(), fmt);
-                    if let FormatStructure::Ell(v) = s {
-                        let e = EllMatrix::from_csr(csr).unwrap();
-                        assert_eq!(v.col_plane, e.col_plane());
+                    match s {
+                        FormatStructure::Coo(v) => {
+                            assert_eq!(v.rows, csr.to_coo().row_indices());
+                        }
+                        FormatStructure::Hyb(v) => {
+                            let h = HybMatrix::from_csr(csr);
+                            assert_eq!(v.tail.rows, h.coo_part().row_indices());
+                            assert_eq!(v.tail.cols, h.coo_part().col_indices());
+                        }
+                        FormatStructure::Csr5(v) => {
+                            assert_eq!(v.cols_t, Csr5Matrix::from_csr(csr).tiles_col_view());
+                        }
+                        _ => {}
                     }
                 }
             }

@@ -34,7 +34,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -538,18 +538,51 @@ pub fn http_roundtrip(
     Ok((status, body))
 }
 
-/// Block until the server accepts TCP connections (bare connect, no
-/// bytes — the server treats empty connections as invisible, so polling
-/// never perturbs its counters). Errors after `timeout`.
+/// Block until the server answers `GET /healthz` with 200. A bare
+/// connect is not enough: the server binds its listener before the rest
+/// of its boot, so a connect can succeed while nothing serves yet. Each
+/// attempt's connect, write and read are bounded by the time left, so
+/// this errors within `timeout` even against a server that accepts and
+/// never answers. The probe that succeeds is one served request, the
+/// same in every run, so the deterministic counters stay comparable.
 pub fn wait_ready(addr: &str, timeout: Duration) -> std::io::Result<()> {
+    const RETRY: Duration = Duration::from_millis(20);
     let deadline = Instant::now() + timeout;
     loop {
-        match TcpStream::connect(addr) {
-            Ok(_) => return Ok(()),
-            Err(e) if Instant::now() >= deadline => return Err(e),
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        let err = match healthz_status(addr, deadline) {
+            Ok(200) => return Ok(()),
+            Ok(status) => std::io::Error::other(format!("/healthz answered {status}")),
+            Err(e) => e,
+        };
+        if Instant::now() + RETRY >= deadline {
+            return Err(err);
         }
+        std::thread::sleep(RETRY);
     }
+}
+
+/// One `GET /healthz` on a fresh connection, every step bounded by
+/// `deadline`; the response status.
+fn healthz_status(addr: &str, deadline: Instant) -> std::io::Result<u16> {
+    let left = || {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            Err(std::io::Error::from(std::io::ErrorKind::TimedOut))
+        } else {
+            Ok(left)
+        }
+    };
+    let target = addr
+        .to_socket_addrs()?
+        .next()
+        .ok_or_else(|| std::io::Error::other(format!("{addr} resolves to no address")))?;
+    let mut stream = TcpStream::connect_timeout(&target, left()?)?;
+    stream.set_write_timeout(Some(left()?))?;
+    stream.set_read_timeout(Some(left()?))?;
+    let mut wire = Vec::with_capacity(128);
+    render_request(&mut wire, addr, "GET", "/healthz", b"", true);
+    stream.write_all(&wire)?;
+    read_response(&mut stream, &mut Vec::new()).map(|(status, _, _)| status)
 }
 
 /// Ask a `spmv-serve` with the admin endpoint enabled to shut down.
@@ -880,8 +913,9 @@ mod tests {
         run(addr, mix, 2, Transport::Pipelined(depth), false)
     }
 
-    /// A listener that accepts every connection and closes it at once,
-    /// without reading a byte or answering.
+    /// A listener that accepts every connection and, without reading a
+    /// byte or answering, closes it at once or (`hold`) keeps it open
+    /// until [`MuteServer::finish`].
     struct MuteServer {
         addr: String,
         stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
@@ -890,6 +924,10 @@ mod tests {
 
     impl MuteServer {
         fn start() -> MuteServer {
+            MuteServer::start_with(false)
+        }
+
+        fn start_with(hold: bool) -> MuteServer {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             listener.set_nonblocking(true).unwrap();
             let addr = listener.local_addr().unwrap().to_string();
@@ -897,6 +935,7 @@ mod tests {
             let flag = std::sync::Arc::clone(&stop);
             let thread = std::thread::spawn(move || {
                 let mut accepted = 0;
+                let mut held = Vec::new();
                 loop {
                     // Read the flag before polling: every connection the
                     // client opened was queued before the flag was set,
@@ -904,7 +943,9 @@ mod tests {
                     let stopping = flag.load(Ordering::SeqCst);
                     match listener.accept() {
                         Ok((stream, _)) => {
-                            drop(stream);
+                            if hold {
+                                held.push(stream);
+                            }
                             accepted += 1;
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -957,6 +998,35 @@ mod tests {
         // Chunks of 4, 4 and 2 requests, each tried once and re-sent five
         // times, every try on a fresh connection.
         assert_eq!(accepted, 3 * 6);
+    }
+
+    #[test]
+    fn wait_ready_gives_up_within_its_timeout_on_a_server_that_never_answers() {
+        let server = MuteServer::start_with(true);
+        let timeout = Duration::from_millis(400);
+        let start = Instant::now();
+        let result = wait_ready(&server.addr, timeout);
+        let waited = start.elapsed();
+        let accepted = server.finish();
+        assert!(result.is_err(), "an unanswered probe is not readiness");
+        assert!(waited < timeout + Duration::from_millis(200), "{waited:?}");
+        assert!(accepted >= 1, "the probe must have connected");
+    }
+
+    #[test]
+    fn wait_ready_succeeds_against_a_live_server() {
+        let server = crate::Server::spawn(
+            crate::ServerConfig {
+                workers: 1,
+                ..crate::ServerConfig::default()
+            },
+            spmv_core::AdvisorHandle::heuristic(),
+        )
+        .unwrap();
+        let addr = server.addr().to_string();
+        let result = wait_ready(&addr, Duration::from_secs(10));
+        server.shutdown();
+        result.unwrap();
     }
 
     #[test]
